@@ -7,9 +7,10 @@ transforms between the wave-number, rotated, and lattice coordinate
 systems. The matching module evaluates the level-matching residuals, the
 quantization determinant, and the frozen-oscillation curves. The
 constraint module carries the coupling hyperbola and its asymptotics.
-The spectrum module produces real levels (two independent methods),
-complex conjugate pairs (argument-principle counting), level counts, and
-critical couplings. The cli module is the command-line front end.
+The spectrum module produces real levels (three independent methods:
+bracketing, lattice tracing and the determinant scan), complex conjugate
+pairs (argument-principle counting), level counts, and critical
+couplings. The cli module is the command-line front end.
 """
 
 from .constraint import (

@@ -20,14 +20,13 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraint import hyperbola_asymptote, reflected_branch, xi_branch
-from .errors import PTWellError, SolverError
+from .errors import PTWellError
 from .matching import ThetaCurveSpec, envelope_asymptote, theta_asymptote, theta_curve
-from .model import ModelParams, WaveVector, BoundState
+from .model import BoundState, LatticeIndex, ModelParams, WaveVector, lattice_compose
 from .spectrum import (
     EnergyWindow,
     SpectrumReport,
@@ -39,7 +38,7 @@ from .spectrum import (
     _locus_points,
 )
 
-__all__ = ["RunConfig", "main", "run", "report_to_json", "report_from_json"]
+__all__ = ["main", "report_to_json", "report_from_json"]
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +96,7 @@ def _report_payload(report: SpectrumReport) -> dict:
                 "n": i,
                 "s": st.wave.s if st.wave is not None else None,
                 "t": st.wave.t if st.wave is not None else None,
-                "E": float(st.energy.real) if isinstance(st.energy, complex) else float(st.energy),
+                "E": st.energy,
                 "A": st.A,
             }
         )
@@ -163,8 +162,7 @@ def _report_csv(report: SpectrumReport) -> str:
         a = "" if st.A is None else _fmt(st.A)
         s_val = "" if st.wave is None else _fmt(st.wave.s)
         t_val = "" if st.wave is None else _fmt(st.wave.t)
-        e_val = float(st.energy.real) if isinstance(st.energy, complex) else float(st.energy)
-        rows.append(f"real,{i},{s_val},{t_val},{_fmt(e_val)},0,{a}")
+        rows.append(f"real,{i},{s_val},{t_val},{_fmt(st.energy)},0,{a}")
     for j, e in enumerate(report.complex_pairs):
         rows.append(f"pair,{j},,,{_fmt(e.real)},{_fmt(e.imag)},")
     return "\n".join(rows) + "\n"
@@ -173,74 +171,17 @@ def _report_csv(report: SpectrumReport) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-_DEFAULTS = {
-    "Z": 0.0,
-    "omega": 0.0,
-    "emax": 2000.0,
-    "smax": 12.0,
-    "kmax": 8,
-    "method": "bracket",
-    "window": "0,2000,-200,200",
-    "n": 1,
-    "family": None,
-    "xi": "0,0.5,0.9,0.99",
-    "p": 1,
-    "stripe": 1,
-    "sigma_max": 12.0,
-    "points": 600,
-    "format": "json",
-    "output": None,
-    "jobs": 1,
-}
+def _config_argv(path: str, subcommands: dict, command: str) -> list[str]:
+    """The entries of a key=value config file as `--key=value` flags of command.
 
-_CONVERTERS = {
-    "Z": float,
-    "omega": float,
-    "emax": float,
-    "smax": float,
-    "kmax": int,
-    "method": str,
-    "window": str,
-    "n": int,
-    "family": str,
-    "xi": str,
-    "p": int,
-    "stripe": int,
-    "sigma_max": float,
-    "points": int,
-    "format": str,
-    "output": str,
-    "jobs": int,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus every knob it may consume."""
-
-    command: str
-    params: ModelParams
-    window: EnergyWindow | None = None
-    e_max: float = 2000.0
-    s_max: float = 12.0
-    k_max: int = 8
-    method: str = "bracket"
-    n_pairs: int = 1
-    family: str | None = None
-    xi_values: tuple[float, ...] = ()
-    p: int = 1
-    stripe: int = 1
-    sigma_max: float = 12.0
-    points: int = 600
-    format: str = "json"
-    output: str | None = None
-    jobs: int = 1
-    z_values: tuple[float, ...] = field(default=())
-    omega_values: tuple[float, ...] = field(default=())
-
-
-def _read_config_file(path: str) -> dict:
-    entries: dict = {}
+    Placed ahead of the command-line flags, they are checked like flags and
+    lose to them. A key must name an option of some subcommand; keys only
+    other subcommands take are skipped, so one file can serve them all.
+    """
+    # parsing no arguments yields a default for every option a subcommand takes
+    takes = {name: set(vars(sub.parse_args([]))) - {"config"} for name, sub in subcommands.items()}
+    known = set().union(*takes.values())
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -250,10 +191,11 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONVERTERS:
+            if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            entries[key] = _CONVERTERS[key](value.strip())
-    return entries
+            if key in takes[command]:
+                flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _parse_window(text: str) -> EnergyWindow:
@@ -265,65 +207,40 @@ def _parse_window(text: str) -> EnergyWindow:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in str(text).split(",") if p.strip() != "")
+    return tuple(float(p.strip()) for p in text.split(",") if p.strip() != "")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_entries = _read_config_file(args.config) if args.config else {}
+def _resolve(args: argparse.Namespace) -> None:
+    """Check the parsed flags and add the values derived from them.
 
-    def pick(key: str, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_entries:
-            return file_entries[key]
-        return _DEFAULTS[key] if default is None else default
-
+    Sets args.z_values and args.omega_values (the comma lists of --Z and
+    --omega) and args.params, and parses args.window (complex) and args.xi
+    (curves) in place. Raises ValueError or PTWellError on invalid input.
+    """
     for key in ("emax", "smax", "sigma_max"):
-        val = pick(key, _DEFAULTS[key])
-        if val is not None and not math.isfinite(float(val)):
+        val = getattr(args, key, None)
+        if val is not None and not math.isfinite(val):
             raise ValueError(f"flag {key} must be finite, got {val}")
-
-    z_values = _parse_float_list(str(pick("Z")))
-    omega_values = _parse_float_list(str(pick("omega")))
-    for name, values in (("Z", z_values), ("omega", omega_values)):
+    args.z_values = _parse_float_list(args.Z)
+    args.omega_values = _parse_float_list(args.omega)
+    for name, values in (("Z", args.z_values), ("omega", args.omega_values)):
         if not values:
             raise ValueError(f"flag {name} must hold at least one number")
         if any(not math.isfinite(v) for v in values):
             raise ValueError(f"flag {name} must be finite, got {values}")
-    if args.command != "sweep" and (len(z_values) != 1 or len(omega_values) != 1):
+    if args.command != "sweep" and (len(args.z_values) != 1 or len(args.omega_values) != 1):
         raise ValueError("comma lists for --Z/--omega are only valid with the sweep command")
-    params = ModelParams(Z=z_values[0], omega=omega_values[0])
-    window = None
+    args.params = ModelParams(Z=args.z_values[0], omega=args.omega_values[0])
     if args.command == "complex":
-        window = _parse_window(str(pick("window")))
+        args.window = window = _parse_window(args.window)
         span = max(abs(window.im_min), abs(window.im_max), 1.0)
         if abs(window.im_min + window.im_max) > 1e-9 * span:
             raise ValueError(
                 f"window must be symmetric about the real axis, got imaginary range "
                 f"[{window.im_min}, {window.im_max}]"
             )
-    return RunConfig(
-        command=args.command,
-        params=params,
-        window=window,
-        e_max=float(pick("emax", 400.0 if args.command == "critical" else None)),
-        s_max=float(pick("smax")),
-        k_max=int(pick("kmax")),
-        method=str(pick("method")),
-        n_pairs=int(pick("n")),
-        family=pick("family"),
-        xi_values=_parse_float_list(str(pick("xi"))),
-        p=int(pick("p")),
-        stripe=int(pick("stripe")),
-        sigma_max=float(pick("sigma_max")),
-        points=int(pick("points")),
-        format=str(pick("format")),
-        output=pick("output"),
-        jobs=int(pick("jobs")),
-        z_values=z_values,
-        omega_values=omega_values,
-    )
+    if args.command == "curves":
+        args.xi = _parse_float_list(args.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -333,38 +250,37 @@ def _segment(name: str, xs, ys) -> dict:
     return {"name": name, "points": [[float(x), float(y)] for x, y in zip(xs, ys)]}
 
 
-def _theta_segments(cfg: RunConfig) -> list[dict]:
-    om = cfg.params.omega
+def _theta_segments(args: argparse.Namespace) -> list[dict]:
+    om = args.params.omega
     segs = []
-    for xi in cfg.xi_values:
-        spec = ThetaCurveSpec(p=cfg.p, xi=xi, omega=om)
+    for xi in args.xi:
+        spec = ThetaCurveSpec(p=args.p, xi=xi, omega=om)
         pole = None
         if om != 0.0:
             pole = theta_asymptote(spec)
         pieces = []
-        if pole is not None and -cfg.sigma_max < pole < cfg.sigma_max:
+        if pole is not None and -args.sigma_max < pole < args.sigma_max:
             gap = 1e-3 * max(1.0, abs(pole))
-            pieces.append((-cfg.sigma_max, pole - gap))
-            pieces.append((pole + gap, cfg.sigma_max))
+            pieces.append((-args.sigma_max, pole - gap))
+            pieces.append((pole + gap, args.sigma_max))
         else:
-            pieces.append((-cfg.sigma_max, cfg.sigma_max))
+            pieces.append((-args.sigma_max, args.sigma_max))
         for j, (a, b) in enumerate(pieces):
-            sig = np.linspace(a, b, cfg.points)
+            sig = np.linspace(a, b, args.points)
             tau = [theta_curve(spec, float(x)) for x in sig]
             suffix = f"_part{j}" if len(pieces) > 1 else ""
-            segs.append(_segment(f"theta_p{cfg.p:+d}_xi{_fmt(xi)}{suffix}", sig, tau))
+            segs.append(_segment(f"theta_p{args.p:+d}_xi{_fmt(xi)}{suffix}", sig, tau))
     return segs
 
 
-def _chain_locus(base: float, p: int, q: int, cfg: RunConfig) -> list[dict]:
+def _chain_locus(k: int, p: int, q: int, args: argparse.Namespace) -> list[dict]:
     """Order locus samples into polyline chains by continuity in sigma."""
-    params = cfg.params
     # solutions of some (p, q) families exist only as xi -> 1, where the
     # lattice line slope diverges; cluster samples there geometrically
     xis = np.unique(
         np.concatenate(
             [
-                np.linspace(0.0, 1.0 - 1e-6, max(cfg.points // 4, 40)),
+                np.linspace(0.0, 1.0 - 1e-6, max(args.points // 4, 40)),
                 1.0 - np.geomspace(1e-6, 0.05, 12),
             ]
         )
@@ -372,8 +288,8 @@ def _chain_locus(base: float, p: int, q: int, cfg: RunConfig) -> list[dict]:
     chains: list[list[tuple[float, float]]] = []
     tails: list[float] = []
     for xi in xis:
-        tau_line = base + p * math.pi / 2.0 + q * math.pi * float(xi) / 2.0
-        pts = _locus_points(float(xi), base, p, q, params, cfg.sigma_max)
+        tau_line = lattice_compose(LatticeIndex(k, p, q, float(xi)))
+        pts = _locus_points(float(xi), k, p, q, args.params, args.sigma_max)
         used = set()
         for sg, _, _, _ in pts:
             best = None
@@ -397,7 +313,7 @@ def _chain_locus(base: float, p: int, q: int, cfg: RunConfig) -> list[dict]:
             continue
         segs.append(
             _segment(
-                f"locus_k{int(round((base / math.pi - 1) / 2))}_p{p:+d}_q{q:+d}_c{ci}",
+                f"locus_k{k}_p{p:+d}_q{q:+d}_c{ci}",
                 [c[0] for c in chain],
                 [c[1] for c in chain],
             )
@@ -405,27 +321,27 @@ def _chain_locus(base: float, p: int, q: int, cfg: RunConfig) -> list[dict]:
     return segs
 
 
-def _hyperbola_segments(cfg: RunConfig) -> list[dict]:
-    params = cfg.params
+def _hyperbola_segments(args: argparse.Namespace) -> list[dict]:
+    params = args.params
     om = params.omega
     segs = []
     if params.Z <= 0.0:
         return segs
     if om == 0.0:
         # sigma*tau = 2Z on the physical quadrant
-        sig = np.linspace(2.0 * params.Z / (4.0 * cfg.sigma_max), cfg.sigma_max, cfg.points)
+        sig = np.linspace(2.0 * params.Z / (4.0 * args.sigma_max), args.sigma_max, args.points)
         segs.append(_segment("hyperbola", sig, 2.0 * params.Z / sig))
         return segs
-    sig = np.linspace(-cfg.sigma_max, cfg.sigma_max, cfg.points)
+    sig = np.linspace(-args.sigma_max, args.sigma_max, args.points)
     if om > 0.0:
         segs.append(_segment("hyperbola", sig, [xi_branch(float(x), params) for x in sig]))
     else:
-        tau = np.linspace(0.0, 4.0 * cfg.sigma_max, cfg.points)
+        tau = np.linspace(0.0, 4.0 * args.sigma_max, args.points)
         segs.append(
             _segment("hyperbola", [reflected_branch(float(y), params) for y in tau], tau)
         )
-    sig_neg = np.linspace(-cfg.sigma_max, -2.0001, cfg.points)
-    if cfg.sigma_max > 2.0:
+    sig_neg = np.linspace(-args.sigma_max, -2.0001, args.points)
+    if args.sigma_max > 2.0:
         segs.append(
             _segment(
                 "hyperbola_asymptote", sig_neg, [hyperbola_asymptote(float(x), params) for x in sig_neg]
@@ -442,28 +358,24 @@ def _hyperbola_segments(cfg: RunConfig) -> list[dict]:
     return segs
 
 
-def _curves_payload(cfg: RunConfig) -> dict:
-    if cfg.family == "theta":
-        segs = _theta_segments(cfg)
-    elif cfg.family == "oval":
-        base = (2 * cfg.stripe + 1) * math.pi
+def _curves_payload(args: argparse.Namespace) -> dict:
+    if args.family == "theta":
+        segs = _theta_segments(args)
+    elif args.family == "oval":
         segs = []
         for q in (1, -1):
-            segs.extend(_chain_locus(base, cfg.p, q, cfg))
-        segs.extend(_hyperbola_segments(cfg))
-    elif cfg.family == "intersection":
+            segs.extend(_chain_locus(args.stripe, args.p, q, args))
+        segs.extend(_hyperbola_segments(args))
+    else:  # intersection
         segs = []
-        for k in range(0, cfg.stripe + 1):
-            base = (2 * k + 1) * math.pi
+        for k in range(0, args.stripe + 1):
             for p in (1, -1):
                 for q in (1, -1):
-                    segs.extend(_chain_locus(base, p, q, cfg))
-        segs.extend(_hyperbola_segments(cfg))
-    else:
-        raise ValueError(f"unknown curve family {cfg.family!r}")
+                    segs.extend(_chain_locus(k, p, q, args))
+        segs.extend(_hyperbola_segments(args))
     return {
-        "family": cfg.family,
-        "params": {"Z": cfg.params.Z, "omega": cfg.params.omega},
+        "family": args.family,
+        "params": {"Z": args.params.Z, "omega": args.params.omega},
         "segments": segs,
     }
 
@@ -479,44 +391,36 @@ def _curves_csv(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommand execution
 
-def _spectrum_report(cfg: RunConfig) -> SpectrumReport:
-    if cfg.method == "lattice":
-        states = real_spectrum_lattice(cfg.params, k_max=cfg.k_max)
-        states = [st for st in states if float(st.energy) <= cfg.e_max]
-    elif cfg.method == "bracket":
-        states = real_spectrum_bracket(cfg.params, s_max=cfg.s_max, e_max=cfg.e_max)
+def _spectrum_report(
+    params: ModelParams, method: str, e_max: float, s_max: float, k_max: int
+) -> SpectrumReport:
+    if method == "lattice":
+        states = real_spectrum_lattice(params, k_max=k_max)
+        states = [st for st in states if st.energy <= e_max]
     else:
-        raise ValueError(f"unknown method {cfg.method!r}")
+        states = real_spectrum_bracket(params, s_max=s_max, e_max=e_max)
     return SpectrumReport(
-        params=cfg.params,
+        params=params,
         real_levels=states,
         complex_pairs=[],
         window=None,
-        diagnostics={"count": len(states), "e_max": cfg.e_max, "method": cfg.method},
+        diagnostics={"count": len(states), "e_max": e_max, "method": method},
     )
 
 
 def _sweep_task(task: tuple) -> dict:
-    z, om, e_max, s_max, method, k_max = task
-    cfg = RunConfig(
-        command="spectrum",
-        params=ModelParams(Z=z, omega=om),
-        e_max=e_max,
-        s_max=s_max,
-        method=method,
-        k_max=k_max,
-    )
-    return _report_payload(_spectrum_report(cfg))
+    z, om, *solver = task
+    return _report_payload(_spectrum_report(ModelParams(Z=z, omega=om), *solver))
 
 
-def _sweep_payload(cfg: RunConfig) -> dict:
+def _sweep_payload(args: argparse.Namespace) -> dict:
     tasks = [
-        (z, om, cfg.e_max, cfg.s_max, cfg.method, cfg.k_max)
-        for z in cfg.z_values
-        for om in cfg.omega_values
+        (z, om, args.method, args.emax, args.smax, args.kmax)
+        for z in args.z_values
+        for om in args.omega_values
     ]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_sweep_task, tasks))
     else:
         runs = [_sweep_task(t) for t in tasks]
@@ -539,81 +443,54 @@ def _sweep_csv(payload: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _execute(cfg: RunConfig) -> str:
-    if cfg.command == "spectrum":
-        report = _spectrum_report(cfg)
-        return report_to_json(report) if cfg.format == "json" else _report_csv(report)
-    if cfg.command == "count":
-        n = count_real(cfg.params, cfg.e_max)
+def _execute(args: argparse.Namespace) -> str:
+    params = args.params
+    if args.command == "spectrum":
+        report = _spectrum_report(params, args.method, args.emax, args.smax, args.kmax)
+        return report_to_json(report) if args.format == "json" else _report_csv(report)
+    if args.command == "count":
+        n = count_real(params, args.emax)
         payload = {
-            "params": {"Z": cfg.params.Z, "omega": cfg.params.omega},
-            "e_max": cfg.e_max,
+            "params": {"Z": params.Z, "omega": params.omega},
+            "e_max": args.emax,
             "count": n,
         }
-        if cfg.format == "json":
+        if args.format == "json":
             return _emit_json(payload)
         return "Z,omega,e_max,count\n" + ",".join(
-            [_fmt(cfg.params.Z), _fmt(cfg.params.omega), _fmt(cfg.e_max), str(n)]
+            [_fmt(params.Z), _fmt(params.omega), _fmt(args.emax), str(n)]
         ) + "\n"
-    if cfg.command == "complex":
-        report = complex_spectrum(cfg.params, cfg.window)
-        return report_to_json(report) if cfg.format == "json" else _report_csv(report)
-    if cfg.command == "critical":
-        zs = critical_couplings(cfg.params.omega, cfg.n_pairs, tracking_e_max=cfg.e_max)
+    if args.command == "complex":
+        report = complex_spectrum(params, args.window)
+        return report_to_json(report) if args.format == "json" else _report_csv(report)
+    if args.command == "critical":
+        zs = critical_couplings(params.omega, args.n, tracking_e_max=args.emax)
         payload = {
-            "omega": cfg.params.omega,
-            "tracking_e_max": cfg.e_max,
+            "omega": params.omega,
+            "tracking_e_max": args.emax,
             "criticals": zs,
         }
-        if cfg.format == "json":
+        if args.format == "json":
             return _emit_json(payload)
         return "N,Z\n" + "".join(f"{i + 1},{_fmt(z)}\n" for i, z in enumerate(zs))
-    if cfg.command == "curves":
-        payload = _curves_payload(cfg)
-        return _emit_json(payload) if cfg.format == "json" else _curves_csv(payload)
-    if cfg.command == "sweep":
-        payload = _sweep_payload(cfg)
-        return _emit_json(payload) if cfg.format == "json" else _sweep_csv(payload)
-    raise ValueError(f"unknown command {cfg.command!r}")
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit status."""
-    try:
-        text = _execute(cfg)
-    except (SolverError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PTWellError as exc:
-        # model-domain validation errors that survive config resolution are
-        # solver-side conditions (window mismatch, pole hits), not usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    if args.command == "curves":
+        payload = _curves_payload(args)
+        return _emit_json(payload) if args.format == "json" else _curves_csv(payload)
+    payload = _sweep_payload(args)
+    return _emit_json(payload) if args.format == "json" else _sweep_csv(payload)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name; every default lives here."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--Z", type=str, default=None, help="coupling strength (>= 0)")
-    common.add_argument("--omega", type=str, default=None, help="contour shift parameter")
+    common.add_argument("--Z", type=str, default="0", help="coupling strength (>= 0)")
+    common.add_argument("--omega", type=str, default="0", help="contour shift parameter")
     common.add_argument("--config", type=str, default=None, help="key=value config file")
     common.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     parser = argparse.ArgumentParser(
         prog="ptwell",
@@ -622,38 +499,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", parents=[common], help="real levels up to an energy cap")
-    p_spec.add_argument("--emax", type=float, default=None, help="energy cap")
-    p_spec.add_argument("--smax", type=float, default=None, help="sweep range cap")
-    p_spec.add_argument("--method", choices=("bracket", "lattice"), default=None)
-    p_spec.add_argument("--kmax", type=int, default=None, help="stripe cap for the lattice method")
+    p_spec.add_argument("--emax", type=float, default=2000.0, help="energy cap")
+    p_spec.add_argument("--smax", type=float, default=12.0, help="sweep range cap")
+    p_spec.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
+    p_spec.add_argument("--kmax", type=int, default=8, help="stripe cap for the lattice method")
 
     p_count = sub.add_parser("count", parents=[common], help="number of real levels up to emax")
-    p_count.add_argument("--emax", type=float, default=None)
+    p_count.add_argument("--emax", type=float, default=2000.0)
 
     p_cx = sub.add_parser("complex", parents=[common], help="all eigenvalues in a window")
-    p_cx.add_argument("--window", type=str, default=None, help="re_min,re_max,im_min,im_max")
+    p_cx.add_argument(
+        "--window", type=str, default="0,2000,-200,200", help="re_min,re_max,im_min,im_max"
+    )
 
     p_crit = sub.add_parser("critical", parents=[common], help="critical couplings")
-    p_crit.add_argument("--n", type=int, default=None, help="number of pair mergers to locate")
-    p_crit.add_argument("--emax", type=float, default=None, help="tracking window cap")
+    p_crit.add_argument("--n", type=int, default=1, help="number of pair mergers to locate")
+    p_crit.add_argument("--emax", type=float, default=400.0, help="tracking window cap")
 
     p_curves = sub.add_parser("curves", parents=[common], help="sampled curve data for plotting")
     p_curves.add_argument(
         "--family", choices=("theta", "oval", "intersection"), default=None, required=False
     )
-    p_curves.add_argument("--xi", type=str, default=None, help="comma list of xi values")
-    p_curves.add_argument("--p", type=int, choices=(-1, 1), default=None)
-    p_curves.add_argument("--stripe", type=int, default=None, help="stripe index k")
-    p_curves.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-    p_curves.add_argument("--points", type=int, default=None)
+    p_curves.add_argument(
+        "--xi", type=str, default="0,0.5,0.9,0.99", help="comma list of xi values"
+    )
+    p_curves.add_argument("--p", type=int, choices=(-1, 1), default=1)
+    p_curves.add_argument("--stripe", type=int, default=1, help="stripe index k")
+    p_curves.add_argument("--sigma-max", dest="sigma_max", type=float, default=12.0)
+    p_curves.add_argument("--points", type=int, default=600)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="spectrum over a parameter grid")
-    p_sweep.add_argument("--emax", type=float, default=None)
-    p_sweep.add_argument("--smax", type=float, default=None)
-    p_sweep.add_argument("--method", choices=("bracket", "lattice"), default=None)
-    p_sweep.add_argument("--kmax", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    return parser
+    p_sweep.add_argument("--emax", type=float, default=2000.0)
+    p_sweep.add_argument("--smax", type=float, default=12.0)
+    p_sweep.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
+    p_sweep.add_argument("--kmax", type=int, default=8)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    return parser, sub.choices
 
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -666,26 +547,47 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.command == "curves" and getattr(args, "family", None) is None:
-        file_entries = {}
-        if args.config:
-            try:
-                file_entries = _read_config_file(args.config)
-            except (OSError, ValueError):
-                pass
-        if "family" not in file_entries:
-            parser.error("curves requires --family")
+    if args.config:
+        try:
+            file_flags = _config_argv(args.config, subcommands, args.command)
+        except OSError as exc:
+            print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 4
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # argv[0] is the subcommand: the top-level parser takes no other arguments
+        args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+    if args.command == "curves" and args.family is None:
+        parser.error("curves requires --family")
     try:
-        cfg = _resolve(args)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
+        _resolve(args)
     except (ValueError, PTWellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        text = _execute(args)
+    except PTWellError as exc:
+        # model-domain validation errors that survive flag checking are
+        # solver-side conditions (window mismatch, pole hits), not usage
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

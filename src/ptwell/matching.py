@@ -116,8 +116,14 @@ def theta_curve(spec: ThetaCurveSpec, sigma: float) -> float:
         sigma_inf = math.asinh(1.0 / (om * Om))
         if abs(sigma - sigma_inf) < _ASYMPTOTE_TOL:
             raise AsymptoteError(f"sigma={sigma} sits on the asymptote at {sigma_inf}")
-    sh = math.sinh(sigma)
-    return sigma * (om + Om * sh) / (1.0 - Om * om * sh)
+    return _theta_of_sinh(sigma, math.sinh(sigma), Om, om)
+
+
+def _theta_of_sinh(sigma, sinh_sigma, Om, om):
+    """Theta_(p,xi) from sigma and its sinh, supplied by the caller: the
+    scalar curve uses math.sinh, the vectorized lattice scan np.sinh, and
+    the two differ in the last bit."""
+    return sigma * (om + Om * sinh_sigma) / (1.0 - Om * om * sinh_sigma)
 
 
 def theta_asymptote(spec: ThetaCurveSpec) -> float:
@@ -169,18 +175,26 @@ def matching_determinant(E, params: ModelParams):
     to s*sinh(sigma) + t*sin(tau); at Z = 0 to kappa*sinh(2*kappa).
     """
     E_arr = np.asarray(E, dtype=complex)
-    Z, om = params.Z, params.omega
+    kp, km = _kappas(E_arr, params.Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _determinant(kp, km, params.omega)
+    return complex(out) if np.isscalar(E) or E_arr.ndim == 0 else out
+
+
+def _kappas(E_arr, Z):
+    """(kp, km) = principal square roots of -E -+ iZ."""
     # + 0.0j flushes the negative-zero imaginary part produced by negating
     # a real energy, keeping sqrt on its principal side of the cut
-    kp = np.sqrt(-E_arr - 1j * Z + 0.0j)
-    km = np.sqrt(-E_arr + 1j * Z + 0.0j)
+    return np.sqrt(-E_arr - 1j * Z + 0.0j), np.sqrt(-E_arr + 1j * Z + 0.0j)
+
+
+def _determinant(kp, km, omega):
+    """D in the combined form (P*sinh(P + i*omega*M) - M*sinh(M + i*omega*P)) / 2."""
     big_p = kp + km
     big_m = km - kp
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * (
-            big_p * np.sinh(big_p + 1j * om * big_m) - big_m * np.sinh(big_m + 1j * om * big_p)
-        )
-    return complex(out) if np.isscalar(E) or E_arr.ndim == 0 else out
+    return 0.5 * (
+        big_p * np.sinh(big_p + 1j * omega * big_m) - big_m * np.sinh(big_m + 1j * omega * big_p)
+    )
 
 
 def _sinhc_sq(u):
@@ -208,17 +222,10 @@ def counting_determinant(E, params: ModelParams):
     """
     E_arr = np.atleast_1d(np.asarray(E, dtype=complex))
     Z, om = params.Z, params.omega
-    kp = np.sqrt(-E_arr - 1j * Z + 0.0j)
-    km = np.sqrt(-E_arr + 1j * Z + 0.0j)
+    kp, km = _kappas(E_arr, Z)
     denom = kp * km
-    big_p = kp + km
-    big_m = km - kp
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (
-            0.5
-            * (big_p * np.sinh(big_p + 1j * om * big_m) - big_m * np.sinh(big_m + 1j * om * big_p))
-            / denom
-        )
+        out = _determinant(kp, km, om) / denom
     # near the removed trivial zeros the division is 0/0; the explicit
     # entire form in u = (kappa*(1 -+ i*omega))^2 is accurate there
     near = (np.abs(denom) < 1.0) | ~np.isfinite(out)
@@ -258,8 +265,8 @@ _CONTOUR_TOL = 1e-9
 def state_kappas(state: BoundState) -> tuple[complex, complex]:
     """(km, kp) for a state: the wave numbers of the left and right branches.
 
-    Real states use km = s + i*t = conj(kp); pair members use the principal
-    square roots of -E +- iZ.
+    States with a wave vector use km = s + i*t = conj(kp); states without
+    one use the principal square roots of -E +- iZ.
     """
     if state.wave is not None:
         kp = kappa_from_st(state.wave)

@@ -95,18 +95,17 @@ class LatticeIndex:
 
 @dataclass(frozen=True)
 class BoundState:
-    """One spectral solution of the model given by params.
+    """One real level of the model given by params.
 
-    Real states carry their wave vector, slope parameter A (None when the
-    wavefunction has a node at the matching point) and the normalization
-    amplitudes R_minus, R_plus of the two half-well branches. Members of
-    complex-conjugate pairs carry the complex energy only; A stays None.
-    residual records |matching residual| (real states) or |determinant|
-    (pair members) at the reported energy.
+    Carries its wave vector, slope parameter A (None when the wavefunction
+    has a node at the matching point) and the normalization amplitudes
+    R_minus, R_plus of the two half-well branches. residual records
+    |matching residual| at the reported energy. Complex conjugate pairs are
+    reported as bare energies, not as states.
     """
 
-    kind: str  # "real" or "complex-pair-member"
-    energy: complex
+    kind: str  # always "real"
+    energy: float
     params: ModelParams
     wave: WaveVector | None = None
     A: float | None = None
@@ -115,7 +114,7 @@ class BoundState:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("real", "complex-pair-member"):
+        if self.kind != "real":
             raise ValueError(f"unknown state kind {self.kind!r}")
 
 

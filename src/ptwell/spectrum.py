@@ -1,6 +1,6 @@
 """Spectrum production.
 
-Real levels come from two independent methods that must agree:
+Real levels come from three independent methods that must agree:
 
 * bracketing -- a 1-D adaptive sweep of the matching residual along the
   constraint curve t = Z/(2s), with a signed dip probe that resolves
@@ -8,7 +8,9 @@ Real levels come from two independent methods that must agree:
 * the lattice tracer -- the geometric method: per stripe and lattice-line
   family, solve the frozen-oscillation curve equation for sigma on a xi
   refinement grid, trace the solution loci, detect crossings of the
-  constraint hyperbola and polish each with a 2-D Newton iteration.
+  constraint hyperbola and polish each with a 2-D Newton iteration;
+* the determinant scan -- the real zeros of the quantization determinant
+  along the real energy axis.
 
 Complex pairs come from argument-principle counting of the entire
 counting determinant over a window, with recursive subdivision until
@@ -37,11 +39,20 @@ from .errors import (
 )
 from .matching import (
     _residual_real_st,
+    _theta_of_sinh,
     amplitude_A,
     counting_determinant,
     matching_determinant,
 )
-from .model import BoundState, ModelParams, WaveVector
+from .model import (
+    BoundState,
+    LatticeIndex,
+    ModelParams,
+    WaveVector,
+    _st_from_sigma_tau_raw,
+    lattice_compose,
+    omega_factor,
+)
 
 __all__ = [
     "EnergyWindow",
@@ -98,10 +109,8 @@ def _make_state(s: float, t: float, params: ModelParams) -> BoundState:
     residual = abs(float(_residual_real_st(s, t, params.omega)))
     try:
         a_val = amplitude_A(wave, params)
-        kappa_c = complex(s, t)
-        om = params.omega
-        r_minus = 1.0 / cmath.sinh(kappa_c * complex(1.0, om))
-        r_plus = 1.0 / cmath.sinh(kappa_c.conjugate() * complex(1.0, -om))
+        r_minus = 1.0 / cmath.sinh(complex(s, t) * complex(1.0, params.omega))
+        r_plus = r_minus.conjugate()
     except NodeAtMatchingPointError:
         a_val = None
         r_minus = None
@@ -279,26 +288,21 @@ def real_spectrum_bracket(
         t_root = Z / (2.0 * s_root)
         if t_root * t_root - s_root * s_root <= e_max:
             states.append(_make_state(s_root, t_root, params))
-    states.sort(key=lambda st: st.energy.real if isinstance(st.energy, complex) else st.energy)
+    states.sort(key=lambda st: st.energy)
     return _dedup_states(states)
 
 
 def _dedup_states(states: list[BoundState]) -> list[BoundState]:
     out: list[BoundState] = []
     for st in states:
-        e = float(st.energy.real) if isinstance(st.energy, complex) else float(st.energy)
-        if all(abs(e - float(o.energy)) > 1e-7 * max(1.0, abs(e)) for o in out):
+        e = st.energy
+        if all(abs(e - o.energy) > 1e-7 * max(1.0, abs(e)) for o in out):
             out.append(st)
     return out
 
 
 # ---------------------------------------------------------------------------
 # real spectrum: lattice tracer
-
-def _theta_value(sig, Om: float, om: float):
-    sh = np.sinh(sig)
-    return sig * (om + Om * sh) / (1.0 - Om * om * sh)
-
 
 def _solve_theta_line(tau_line: float, Om: float, om: float, sig_cap: float) -> list[float]:
     """All sigma in [-sig_cap, sig_cap] with Theta_(p,xi)(sigma) = tau_line.
@@ -328,12 +332,12 @@ def _solve_theta_line(tau_line: float, Om: float, om: float, sig_cap: float) -> 
                 clusters.append(cl[(cl > lo) & (cl < hi)])
         grid = np.unique(np.concatenate(clusters))
         with np.errstate(over="ignore", invalid="ignore"):
-            fv = np.asarray(_theta_value(grid, Om, om) - tau_line, dtype=float)
+            fv = np.asarray(_theta_of_sinh(grid, np.sinh(grid), Om, om) - tau_line, dtype=float)
         good = np.isfinite(fv)
         g, fv = grid[good], fv[good]
         sgn = np.sign(fv)
         for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
-            f = lambda x: float(_theta_value(x, Om, om)) - tau_line  # noqa: E731
+            f = lambda x: float(_theta_of_sinh(x, np.sinh(x), Om, om)) - tau_line  # noqa: E731
             roots.append(_bisect_scalar(f, float(g[i]), float(g[i + 1]), float(fv[i])))
     return sorted(roots)
 
@@ -363,36 +367,30 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
             break
     if not (math.isfinite(s) and math.isfinite(t)) or t <= 0.0:
         return None
-    sig = 2.0 * (s - t * om)
-    tau = 2.0 * (s * om + t)
-    res = s * math.sinh(sig) + t * math.sin(tau)
+    res = float(_residual_real_st(s, t, om))
     con = 2.0 * s * t - Z
-    scale = max(1.0, abs(s * math.sinh(sig)))
+    scale = max(1.0, abs(s * math.sinh(2.0 * (s - t * om))))
     if abs(res) < 1e-10 * scale and abs(con) < 1e-9 * max(1.0, Z):
         return s, t
     return None
 
 
 def _locus_points(
-    xi: float, base: float, p: int, q: int, params: ModelParams, sig_cap: float
+    xi: float, k: int, p: int, q: int, params: ModelParams, sig_cap: float
 ) -> list[tuple[float, float, float, float]]:
-    """Locus samples (sigma, 2st - Z, s, t) on one lattice line."""
-    tau_line = base + p * math.pi / 2.0 + q * math.pi * xi / 2.0
+    """Locus samples (sigma, 2st - Z, s, t) on the lattice line (k, p, q, xi)."""
+    tau_line = lattice_compose(LatticeIndex(k, p, q, xi))
     if tau_line <= 0.0:
         return []
-    Om = p / math.cos(math.pi * xi / 2.0)
-    om = params.omega
-    d = 2.0 * (1.0 + om * om)
     out = []
-    for sg in _solve_theta_line(tau_line, Om, om, sig_cap):
-        s = (sg + tau_line * om) / d
-        t = (tau_line - sg * om) / d
+    for sg in _solve_theta_line(tau_line, omega_factor(p, xi), params.omega, sig_cap):
+        s, t = _st_from_sigma_tau_raw(sg, tau_line, params.omega)
         out.append((sg, 2.0 * s * t - params.Z, s, t))
     return out
 
 
 def _trace_family(
-    base: float, p: int, q: int, params: ModelParams, sig_cap: float, n_xi: int,
+    k: int, p: int, q: int, params: ModelParams, sig_cap: float, n_xi: int,
     seeds: list[tuple[float, float]],
 ) -> None:
     """Sweep xi over [0, 1) for one (stripe, p, q) family, tracking the locus
@@ -418,7 +416,7 @@ def _trace_family(
     prev_xi = 0.0
     while i < len(xis):
         xi = float(xis[i])
-        cur = _locus_points(xi, base, p, q, params, sig_cap)
+        cur = _locus_points(xi, k, p, q, params, sig_cap)
         if prev is not None and len(cur) != len(prev) and xi - prev_xi > 1e-5:
             xis.insert(i, 0.5 * (xi + prev_xi))
             continue
@@ -457,10 +455,9 @@ def real_spectrum_lattice(
         return hermitian_spectrum(params, e_max=((k_max + 1) * math.pi) ** 2)
     seeds: list[tuple[float, float]] = []
     for k in range(0, k_max + 1):
-        base = (2 * k + 1) * math.pi
         for p in (1, -1):
             for q in (1, -1):
-                _trace_family(base, p, q, params, sig_cap, n_xi, seeds)
+                _trace_family(k, p, q, params, sig_cap, n_xi, seeds)
     states: list[BoundState] = []
     failures = []
     for s0, t0 in seeds:

@@ -183,3 +183,25 @@ def test_curves_intersection_families(capsys):
 def test_curves_requires_family():
     rc, _, err = run_cli("curves", "--Z", "1", "--omega", "0.1")
     assert rc == 2 and b"family" in err
+
+
+def test_config_file_format_is_checked_like_the_flag(tmp_path):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("format = xml\nZ = 1\n")
+    rc, out, err = run_cli("spectrum", "--config", str(cfg))
+    assert rc == 2 and out == b"" and b"format" in err
+
+
+def test_config_file_p_is_checked_like_the_flag(tmp_path):
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text("p = 3\n")
+    rc, out, err = run_cli(
+        "curves", "--Z", "1", "--omega", "0.1", "--family", "oval", "--points", "40",
+        "--config", str(cfg),
+    )
+    assert rc == 2 and out == b"" and b"--p" in err
+
+
+def test_curves_unreadable_config_is_an_io_error():
+    rc, _, err = run_cli("curves", "--Z", "1", "--omega", "0.1", "--config", "/nonexistent.cfg")
+    assert rc == 4 and b"cannot read config" in err
