@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import SolverError
-from .matching import ThetaCurveSpec, theta_curve
-from .model import ModelParams, RotatedPoint
+from .matching import ThetaCurveSpec, _theta_of_sinh, theta_curve
+from .model import ModelParams, RotatedPoint, omega_factor
 
 __all__ = [
     "quadratic_residual",
@@ -66,9 +68,13 @@ def xi_branch(sigma: float, params: ModelParams) -> float:
         raise ValueError(f"xi_branch requires omega > 0, got {om}")
     if params.Z <= 0.0:
         raise ValueError(f"xi_branch requires Z > 0, got {params.Z}")
-    x2 = _x_squared(params)
+    return float(_xi_of(sigma, om, _x_squared(params)))
+
+
+def _xi_of(sigma, om, x2):
+    """Xi(sigma) for omega = om > 0 and X^2 = x2, on floats or arrays."""
     a = om + 1.0 / om
-    return 0.5 * (om - 1.0 / om) * sigma + 0.5 * math.sqrt(a * a * sigma * sigma + 4.0 * x2)
+    return 0.5 * (om - 1.0 / om) * sigma + 0.5 * np.sqrt(a * a * sigma * sigma + 4.0 * x2)
 
 
 def upsilon_branch(tau: float, params: ModelParams) -> float:
@@ -161,21 +167,24 @@ def sigma_star(params: ModelParams) -> float:
 
     lo, hi = -50.0, -2.0
     n = 2000
-    grid = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    vals = [gap(s) for s in grid]
+    grid = lo + (hi - lo) * np.arange(n + 1) / n
+    # gap on the whole grid at once; np.sinh may differ from the scalar
+    # gap's math.sinh in the last bit, which matters only if it flips a
+    # sign and so moves the bracket
+    aw = work.omega
+    theta = _theta_of_sinh(grid, np.sinh(grid), omega_factor(1, 0.0), aw)
+    vals = np.abs(theta + grid / aw) - 0.5 * np.abs(_xi_of(grid, aw, _x_squared(work)) + grid / aw)
     # rightmost sign change: envelope deviation explodes toward sigma = 0-,
     # decays exponentially toward -inf
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            bracket = (a, a)
-        elif fa * fb < 0.0:
-            bracket = (a, b)
-    if bracket is None:
+    left, right = vals[:-1], vals[1:]
+    hits = np.nonzero((left == 0.0) | (left * right < 0.0))[0]
+    if len(hits) == 0:
         raise SolverError(
             f"no envelope/hyperbola crossover in [-50, -2] for Z={params.Z}, omega={om}"
         )
-    a, b = bracket
+    i = int(hits[-1])
+    a = float(grid[i])
+    b = a if left[i] == 0.0 else float(grid[i + 1])
     fa = gap(a)
     for _ in range(200):
         if b - a < 1e-12 * max(1.0, abs(a)):

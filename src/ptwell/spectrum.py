@@ -13,8 +13,9 @@ Real levels come from three independent methods that must agree:
   along the real energy axis.
 
 Complex pairs come from argument-principle counting of the entire
-counting determinant over a window, with recursive subdivision until
-each cell isolates one zero, followed by Newton refinement. Critical
+counting determinant over a window, with recursive subdivision on
+verified counts until each cell isolates one zero, followed by Newton
+refinement. Critical
 couplings are located by bisection on the real-level count.
 
 All energies are double precision; windows must keep |kappa*(1+|omega|)|
@@ -27,6 +28,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,8 +353,10 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     for _ in range(60):
         sig = 2.0 * (s - t * om)
         tau = 2.0 * (s * om + t)
-        with np.errstate(over="ignore"):
+        try:
             sh, ch = math.sinh(sig), math.cosh(sig)
+        except OverflowError:
+            return None
         res = s * sh + t * math.sin(tau)
         con = 2.0 * s * t - Z
         j11 = sh + 2.0 * s * ch + 2.0 * om * t * math.cos(tau)
@@ -363,13 +367,18 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
         ds = (res * 2.0 * s - j12 * con) / det
         dt = (j11 * con - res * 2.0 * t) / det
         s, t = s - ds, t - dt
+        if not (math.isfinite(s) and math.isfinite(t)):
+            return None
         if abs(ds) + abs(dt) < 1e-14 * (1.0 + abs(s) + abs(t)):
             break
-    if not (math.isfinite(s) and math.isfinite(t)) or t <= 0.0:
+    if t <= 0.0:
+        return None
+    try:
+        scale = max(1.0, abs(s * math.sinh(2.0 * (s - t * om))))
+    except OverflowError:
         return None
     res = float(_residual_real_st(s, t, om))
     con = 2.0 * s * t - Z
-    scale = max(1.0, abs(s * math.sinh(2.0 * (s - t * om))))
     if abs(res) < 1e-10 * scale and abs(con) < 1e-9 * max(1.0, Z):
         return s, t
     return None
@@ -540,38 +549,28 @@ def _initial_edge_density(z0: complex, z1: complex, params: ModelParams) -> int:
 
 def _edge_phase_sum(z0: complex, z1: complex, params: ModelParams) -> float:
     """Total change of arg(G) along the segment, refined until every step
-    is below pi/2."""
+    is below pi/2. Each round bisects every offending step at once."""
     n = _initial_edge_density(z0, z1, params)
-    pts = list(_edge_points(z0, z1, n))
+    pts = _edge_points(z0, z1, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = counting_determinant(np.asarray(pts), params)
-    vals = list(np.asarray(vals, dtype=complex))
+        vals = counting_determinant(pts, params)
     for _ in range(48):
-        if any(v == 0.0 or not np.isfinite(v) for v in vals):
+        if not np.all(np.isfinite(vals) & (vals != 0.0)):
             raise _BoundaryHit
-        args = np.angle(np.asarray(vals))
-        steps = np.diff(args)
+        steps = np.diff(np.angle(vals))
         steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
         bad = np.nonzero(np.abs(steps) >= math.pi / 2.0)[0]
         if len(bad) == 0:
             return float(np.sum(steps))
         if len(pts) > 400000:
             raise SolverError("edge phase refinement exploded; window likely touches a zero")
-        new_pts = []
-        new_vals = []
-        bad_set = set(int(b) for b in bad)
-        for i in range(len(pts) - 1):
-            new_pts.append(pts[i])
-            new_vals.append(vals[i])
-            if i in bad_set:
-                mid = 0.5 * (pts[i] + pts[i + 1])
-                if abs(mid - pts[i]) < 1e-12 * max(1.0, abs(mid)):
-                    raise _BoundaryHit
-                new_pts.append(mid)
-                new_vals.append(complex(counting_determinant(mid, params)))
-        new_pts.append(pts[-1])
-        new_vals.append(vals[-1])
-        pts, vals = new_pts, new_vals
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        if np.any(np.abs(mids - pts[bad]) < 1e-12 * np.maximum(1.0, np.abs(mids))):
+            raise _BoundaryHit
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid_vals = counting_determinant(mids, params)
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, mid_vals)
     raise SolverError("edge phase did not stabilize")
 
 
@@ -616,17 +615,45 @@ _SPLIT_FRACS = (0.5, 0.55, 0.45, 0.6, 0.4)
 _NEWTON_STARTS = ((0.5, 0.5), (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))
 
 
-def _find_zeros(re0, re1, im0, im1, params: ModelParams, depth: int = 0) -> list[complex]:
+class _Cell(NamedTuple):
+    """A rectangle padded off any boundary zero, with its winding number w.
+
+    scale is taken from the rectangle as requested, before padding."""
+
+    re0: float
+    re1: float
+    im0: float
+    im1: float
+    w: int
+    scale: float
+
+
+def _counted_cell(re0, re1, im0, im1, params: ModelParams) -> _Cell:
+    """Count the zeros in the rectangle, padding it outward while a zero
+    sits on its boundary."""
     scale = max(abs(re0), abs(re1), abs(im0), abs(im1), 1.0)
     for attempt in range(5):
         try:
-            w = _winding_count(re0, re1, im0, im1, params)
-            break
+            return _Cell(re0, re1, im0, im1, _winding_count(re0, re1, im0, im1, params), scale)
         except _BoundaryHit:
             pad = 1e-7 * scale * (attempt + 1)
             re0, re1, im0, im1 = re0 - pad, re1 + pad, im0 - pad, im1 + pad
-    else:
-        raise SolverError("could not move the window off a boundary zero")
+    raise SolverError(
+        f"could not move the window [{re0},{re1}]x[{im0},{im1}] off a boundary zero"
+    )
+
+
+def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[complex]:
+    """Exactly cell.w zeros of G in the counted cell, or a SolverError.
+
+    A cell with w = 1 (or one shrunk below 1e-6 of the scale) is refined by
+    Newton from a few interior starts. Otherwise it is split into four at
+    the first fraction, in _SPLIT_FRACS order from the depth, whose
+    children's windings add up to w; all four children are counted before
+    any of them is solved. A split line through a zero pads the children
+    over it, so both count it, and the sum exceeds w.
+    """
+    re0, re1, im0, im1, w, scale = cell
     if w == 0:
         return []
     if w < 0:
@@ -648,34 +675,31 @@ def _find_zeros(re0, re1, im0, im1, params: ModelParams, depth: int = 0) -> list
             )
     if depth > 60:
         raise SolverError("window subdivision exceeded maximal depth")
-    frac = _SPLIT_FRACS[depth % len(_SPLIT_FRACS)]
-    rm = re0 + frac * (re1 - re0)
-    im_mid = im0 + frac * (im1 - im0)
-    roots: list[complex] = []
-    for rect in (
-        (re0, rm, im0, im_mid),
-        (rm, re1, im0, im_mid),
-        (re0, rm, im_mid, im1),
-        (rm, re1, im_mid, im1),
-    ):
-        roots.extend(_find_zeros(*rect, params, depth + 1))
-    if len(roots) != w:
-        # a zero probably sat on the split line: retry with shifted fractions
-        frac2 = _SPLIT_FRACS[(depth + 1) % len(_SPLIT_FRACS)]
-        rm = re0 + frac2 * (re1 - re0)
-        im_mid = im0 + frac2 * (im1 - im0)
-        roots = []
-        for rect in (
-            (re0, rm, im0, im_mid),
-            (rm, re1, im0, im_mid),
-            (re0, rm, im_mid, im1),
-            (rm, re1, im_mid, im1),
-        ):
-            roots.extend(_find_zeros(*rect, params, depth + 1))
-        if len(roots) != w:
-            raise CountMismatchError(
-                f"window [{re0},{re1}]x[{im0},{im1}]: winding {w} but {len(roots)} roots refined"
+    sums = []
+    for k in (0, 1):
+        frac = _SPLIT_FRACS[(depth + k) % len(_SPLIT_FRACS)]
+        rm = re0 + frac * (re1 - re0)
+        im_mid = im0 + frac * (im1 - im0)
+        children = [
+            _counted_cell(*rect, params)
+            for rect in (
+                (re0, rm, im0, im_mid),
+                (rm, re1, im0, im_mid),
+                (re0, rm, im_mid, im1),
+                (rm, re1, im_mid, im1),
             )
+        ]
+        sums.append((frac, sum(child.w for child in children)))
+        if sums[-1][1] == w:
+            break
+    else:
+        raise CountMismatchError(
+            f"window [{re0},{re1}]x[{im0},{im1}]: winding {w} but the child windings add up to "
+            + " and ".join(f"{total} at split fraction {frac}" for frac, total in sums)
+        )
+    roots: list[complex] = []
+    for child in children:
+        roots.extend(_find_zeros(child, params, depth + 1))
     return roots
 
 
@@ -687,9 +711,17 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
     the entire counting determinant, subdivision until each cell isolates
     one zero, and Newton refinement.
 
+    A cell is split only where the windings of its four children add up
+    to its own, checked before any child is solved; if neither of the two
+    split fractions tried adds up, CountMismatchError names the cell.
+
     Roots with |Im E| < 1e-8 are classified real and reported as bound
     states; the rest must come in conjugate pairs (hard error otherwise),
     reported by their Im > 0 member.
+
+    For Z > 0 and omega != 0 the diagnostics carry sigma_star, except where
+    the envelope and the hyperbola do not cross in [-50, -2] (for example
+    Z = 5, omega = 0.5): the key is then left out and the roots still stand.
     """
     if window is None:
         window = EnergyWindow(0.0, 2000.0, -200.0, 200.0)
@@ -699,7 +731,9 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
             f"pair scanning requires a window symmetric about the real axis, got "
             f"[{window.im_min}, {window.im_max}]"
         )
-    roots = _find_zeros(window.re_min, window.re_max, window.im_min, window.im_max, params)
+    roots = _find_zeros(
+        _counted_cell(window.re_min, window.re_max, window.im_min, window.im_max, params), params
+    )
     w_total = len(roots)
 
     real_states: list[BoundState] = []
@@ -750,7 +784,10 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
         "max_real_residual": max((st.residual for st in real_states), default=0.0),
     }
     if params.Z > 0.0 and params.omega != 0.0:
-        diagnostics["sigma_star"] = sigma_star(params)
+        try:
+            diagnostics["sigma_star"] = sigma_star(params)
+        except SolverError:
+            pass  # no crossover to report; the roots do not depend on it
     return SpectrumReport(
         params=params,
         real_levels=real_states,

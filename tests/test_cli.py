@@ -205,3 +205,17 @@ def test_config_file_p_is_checked_like_the_flag(tmp_path):
 def test_curves_unreadable_config_is_an_io_error():
     rc, _, err = run_cli("curves", "--Z", "1", "--omega", "0.1", "--config", "/nonexistent.cfg")
     assert rc == 4 and b"cannot read config" in err
+
+
+def test_complex_default_window(capsys):
+    assert main(["complex", "--Z", "1", "--omega", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["window"] == {"re_min": 0, "re_max": 2000, "im_min": -200, "im_max": 200}
+    d = payload["diagnostics"]
+    assert d["n_real"] + 2 * d["n_pairs"] == d["winding_total"] > 0
+
+
+def test_complex_without_crossover_still_reports_roots(capsys):
+    assert main(["complex", "--Z", "5", "--omega", "0.5", "--window", "0,100,-10,10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["real_levels"] and "sigma_star" not in payload["diagnostics"]

@@ -5,12 +5,13 @@ import math
 import pytest
 
 import properties as P
-from ptwell.errors import WindowError
+from ptwell.errors import SolverError, WindowError
 from ptwell.model import ModelParams, sigma_tau_from_st, st_from_sigma_tau, RotatedPoint
 from ptwell.constraint import sigma_star, xi_branch
 from ptwell.matching import residual_real
 from ptwell.spectrum import (
     EnergyWindow,
+    _newton_2d,
     complex_spectrum,
     count_real,
     critical_couplings,
@@ -256,3 +257,131 @@ def test_hermitian_limit_of_small_coupling():
 
 def test_property_real_residuals():
     assert P.check_real_residuals() >= 30
+
+
+def test_newton_2d_returns_none_when_sinh_overflows():
+    # sigma = 2*(s - t*omega) is about 800 at the seed: math.sinh overflows
+    assert _newton_2d(400.0, 0.001, ModelParams(1.0, 0.1)) is None
+
+
+def test_newton_2d_returns_none_after_an_infinite_step():
+    # sigma is about 699 at the seed: sinh stays finite, the first step
+    # does not, and math.sin(inf) raised ValueError on the next iteration
+    params = ModelParams(0.02870128709455032, -0.43522436028175626)
+    assert _newton_2d(10.009433358572288, 780.5441446959059, params) is None
+
+
+# ---------------------------------------------------------------------------
+# complex windows that split through a real level at the first subdivision
+
+
+def _check_window(params, window):
+    rep = complex_spectrum(params, window)
+    d = rep.diagnostics
+    assert d["n_real"] + 2 * d["n_pairs"] == d["winding_total"]
+    want = determinant_real_roots(params, e_max=window.re_max, e_min=window.re_min)
+    got = _energies(rep.real_levels)
+    assert len(got) == len(want)
+    assert got == pytest.approx(want, rel=1e-8)
+    return rep
+
+
+@pytest.mark.parametrize("Z, om", [(1.0, 0.1), (0.5, 0.0), (2.0, -0.1)])
+def test_complex_spectrum_default_window(Z, om):
+    _check_window(ModelParams(Z=Z, omega=om), EnergyWindow(0.0, 2000.0, -200.0, 200.0))
+
+
+@pytest.mark.parametrize(
+    "Z, om, window",
+    [
+        (3.729, -0.0061, (0.0, 400.0, -40.0, 40.0)),
+        (2.0, -0.2, (0.0, 500.0, -20.0, 20.0)),
+        (1.1, -0.08, (2100.0, 3500.0, -200.0, 200.0)),
+    ],
+)
+def test_complex_spectrum_acceptance_window_defects(Z, om, window):
+    _check_window(ModelParams(Z=Z, omega=om), EnergyWindow(*window))
+
+
+def test_complex_spectrum_leaves_out_sigma_star_without_crossover():
+    params = ModelParams(Z=5.0, omega=0.5)
+    with pytest.raises(SolverError):
+        sigma_star(params)
+    rep = _check_window(params, EnergyWindow(0.0, 100.0, -10.0, 10.0))
+    assert "sigma_star" not in rep.diagnostics
+    assert rep.real_levels
+
+
+# ---------------------------------------------------------------------------
+# exact pins: values captured with repr before the winding pre-check and the
+# vectorized edge refinement and crossover scan, which must not move a bit
+
+
+@pytest.mark.parametrize(
+    "Z, om, want",
+    [
+        (1.0, 0.1, -9.880453922598624),
+        (0.5, -0.2, 9.001088733957149),
+        (3.0, 0.05, -10.240029866459782),
+        (6.0, 0.02, -11.63421790801548),
+        (0.1, 0.5, -8.71211193675082),
+        (0.05, 0.6, -9.135148521802387),
+    ],
+)
+def test_sigma_star_pinned(Z, om, want):
+    assert sigma_star(ModelParams(Z=Z, omega=om)) == want
+
+
+def test_sigma_star_no_crossover_pinned():
+    with pytest.raises(SolverError) as err:
+        sigma_star(ModelParams(Z=5.0, omega=0.5))
+    assert str(err.value) == "no envelope/hyperbola crossover in [-50, -2] for Z=5.0, omega=0.5"
+
+
+_WINDOW_C4 = (0.0, 400.0, -40.0, 40.0)
+_WINDOW_C5 = (2100.0, 3500.0, -200.0, 200.0)
+
+
+@pytest.mark.parametrize(
+    "Z, om, window, levels, residual",
+    [
+        (1.5, 0.0, _WINDOW_C4, [
+            2.701843952471896, 9.691627296438192, 22.232708947160095, 39.43536432247137,
+            61.694253364909386, 88.80738515568098, 120.90733476202571, 157.90296670301387,
+            199.86231404740073, 246.7332637666133, 298.5574219034839, 355.30100561637084,
+        ], 9.531351402580768e-14),
+        (1.5, 0.0, _WINDOW_C5, [
+            2220.6602302504716, 2371.1726946610997, 2526.6180587239883, 2687.000007596251,
+            2852.3150802383134, 3022.5665339798943, 3197.751298197128, 3377.872272834739,
+        ], 4.4870232746366256e-13),
+        (0.5, -0.2, _WINDOW_C4, [
+            2.707557489656322, 9.808937286513578, 22.494632191368037, 39.312924319456855,
+            62.17834961021605, 88.32291198459038, 121.98279999048114, 156.45721058943622,
+            202.6688760762911, 242.56190948774127, 307.04165775413185, 342.97369921176454,
+        ], 7.172040739078511e-14),
+        (0.5, -0.2, _WINDOW_C5, [], 0.0),
+    ],
+)
+def test_complex_spectrum_real_levels_pinned(Z, om, window, levels, residual):
+    rep = complex_spectrum(ModelParams(Z=Z, omega=om), EnergyWindow(*window))
+    assert _energies(rep.real_levels) == levels
+    assert rep.complex_pairs == []
+    assert rep.diagnostics["max_real_residual"] == residual
+
+
+def test_complex_spectrum_pairs_pinned():
+    rep = complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(*_WINDOW_C5))
+    assert rep.complex_pairs == [
+        2289.984095011932 + 47.60968450917891j,
+        2598.4036813864036 + 80.56104156098117j,
+        2925.9889404015885 + 114.32959153166328j,
+        3272.7555739763793 + 150.78121333665445j,
+    ]
+    assert rep.diagnostics == {
+        "method": "argument-principle",
+        "winding_total": 8,
+        "n_real": 0,
+        "n_pairs": 4,
+        "max_real_residual": 0.0,
+        "sigma_star": -9.880453922598624,
+    }
