@@ -7,6 +7,7 @@ transforms between the wave-number, rotated, and lattice coordinate
 systems. The matching module evaluates the level-matching residuals, the
 quantization determinant, and the frozen-oscillation curves. The
 constraint module carries the coupling hyperbola and its asymptotics.
+The roots module is the bracketed-root kernel of every real root search.
 The spectrum module produces real levels (three independent methods:
 bracketing, lattice tracing and the determinant scan), complex conjugate
 pairs (argument-principle counting), level counts, and critical

@@ -156,16 +156,22 @@ def report_from_json(text: str) -> SpectrumReport:
     )
 
 
+_CSV_HEADER = "kind,n,s,t,re,im,A"
+
+
+def _csv_rows(payload: dict) -> list[str]:
+    """One csv row per level and per pair of a report payload."""
+    rows = []
+    for lv in payload["real_levels"]:
+        s, t, a = ("" if v is None else _fmt(v) for v in (lv["s"], lv["t"], lv["A"]))
+        rows.append(f"real,{lv['n']},{s},{t},{_fmt(lv['E'])},0,{a}")
+    for j, p in enumerate(payload["complex_pairs"]):
+        rows.append(f"pair,{j},,,{_fmt(p['re'])},{_fmt(p['im'])},")
+    return rows
+
+
 def _report_csv(report: SpectrumReport) -> str:
-    rows = ["kind,n,s,t,re,im,A"]
-    for i, st in enumerate(report.real_levels):
-        a = "" if st.A is None else _fmt(st.A)
-        s_val = "" if st.wave is None else _fmt(st.wave.s)
-        t_val = "" if st.wave is None else _fmt(st.wave.t)
-        rows.append(f"real,{i},{s_val},{t_val},{_fmt(st.energy)},0,{a}")
-    for j, e in enumerate(report.complex_pairs):
-        rows.append(f"pair,{j},,,{_fmt(e.real)},{_fmt(e.imag)},")
-    return "\n".join(rows) + "\n"
+    return "\n".join([_CSV_HEADER, *_csv_rows(_report_payload(report))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +434,10 @@ def _sweep_payload(args: argparse.Namespace) -> dict:
 
 
 def _sweep_csv(payload: dict) -> str:
-    rows = ["Z,omega,kind,n,s,t,re,im,A"]
+    rows = ["Z,omega," + _CSV_HEADER]
     for run in payload["runs"]:
-        z = _fmt(run["params"]["Z"])
-        om = _fmt(run["params"]["omega"])
-        for item in run["real_levels"]:
-            a = "" if item["A"] is None else _fmt(item["A"])
-            rows.append(
-                f"{z},{om},real,{item['n']},{_fmt(item['s'])},{_fmt(item['t'])},"
-                f"{_fmt(item['E'])},0,{a}"
-            )
-        for j, p in enumerate(run["complex_pairs"]):
-            rows.append(f"{z},{om},pair,{j},,,{_fmt(p['re'])},{_fmt(p['im'])},")
+        prefix = f"{_fmt(run['params']['Z'])},{_fmt(run['params']['omega'])},"
+        rows.extend(prefix + row for row in _csv_rows(run))
     return "\n".join(rows) + "\n"
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SolverError
 from .matching import ThetaCurveSpec, _theta_of_sinh, theta_curve
 from .model import ModelParams, RotatedPoint, omega_factor
+from .roots import _bisect_scalar
 
 __all__ = [
     "quadratic_residual",
@@ -185,15 +186,5 @@ def sigma_star(params: ModelParams) -> float:
     i = int(hits[-1])
     a = float(grid[i])
     b = a if left[i] == 0.0 else float(grid[i + 1])
-    fa = gap(a)
-    for _ in range(200):
-        if b - a < 1e-12 * max(1.0, abs(a)):
-            break
-        m = 0.5 * (a + b)
-        fm = gap(m)
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    star = 0.5 * (a + b)
+    star = _bisect_scalar(gap, a, b, gap(a), rtol=1e-12)
     return star if om > 0.0 else -star

@@ -1,0 +1,88 @@
+"""The bracketed-root kernel behind every real root search.
+
+Each caller passes one function f that takes a float or a numpy array,
+and a 1-D grid fine enough to resolve every oscillation of f. Bisection
+stays scalar: a grid holds few brackets, and masked numpy bisection over
+them is slower than this loop.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _bisect_scalar(f, a: float, b: float, fa: float, rtol: float = 1e-15) -> float:
+    """Midpoint of [a, b] after halving it, keeping f(a)*f(b) <= 0, until it
+    is narrower than rtol*max(1, |a|). fa is f(a)."""
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+        if b - a < rtol * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+def _golden_min(h, a: float, b: float) -> float:
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = h(x1), h(x2)
+    for _ in range(200):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = h(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = h(x2)
+        if b - a < 1e-13 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+def _sweep_roots(f, grid: np.ndarray, dips: bool = True) -> list[float]:
+    """All roots of f on the grid, sorted: sign changes between finite
+    neighbours are bisected. With dips, each sample whose |f| is below its
+    neighbours' with the same sign (at an end: rising into the grid) has
+    its cell golden-searched for a signed minimum below zero, a nearly
+    merged pair whose two roots are then bisected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(grid), dtype=float)
+    finite = np.isfinite(vals)
+    sign = np.sign(vals)
+    roots: list[float] = []
+    ok = finite[:-1] & finite[1:]
+    for i in np.nonzero(ok & (sign[:-1] * sign[1:] < 0.0))[0]:
+        roots.append(_bisect_scalar(f, float(grid[i]), float(grid[i + 1]), float(vals[i])))
+    roots.extend(float(x) for x in grid[finite & (vals == 0.0)])
+    n = len(grid)
+    if not dips or n < 2:
+        return sorted(roots)
+    # neighbours reflected at the ends: the outer neighbour of an end
+    # sample is its inner one, so the interior test covers the end cells
+    idx = np.arange(n)
+    prev = np.abs(idx - 1)
+    nxt = (n - 1) - np.abs(n - 2 - idx)
+    mag = np.abs(vals)
+    dip = idx[
+        finite[prev] & finite & finite[nxt]
+        & (sign[prev] == sign) & (sign[nxt] == sign) & (sign != 0.0)
+        & (mag < mag[prev]) & (mag < mag[nxt])
+    ]
+    for i in dip:
+        sgn = float(sign[i])
+        h = lambda x: sgn * f(x)  # noqa: E731
+        a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
+        m = _golden_min(h, a, b)
+        if h(m) < 0.0:
+            roots.append(_bisect_scalar(f, a, m, f(a)))
+            roots.append(_bisect_scalar(f, m, b, f(m)))
+    return sorted(roots)

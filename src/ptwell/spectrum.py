@@ -18,6 +18,9 @@ verified counts until each cell isolates one zero, followed by Newton
 refinement. Critical
 couplings are located by bisection on the real-level count.
 
+Every real root search -- the bracketing sweep, the determinant scan
+and each lattice line -- goes through the one kernel in ptwell.roots.
+
 All energies are double precision; windows must keep |kappa*(1+|omega|)|
 below ~700 so cosh stays finite.
 """
@@ -25,6 +28,7 @@ below ~700 so cosh stays finite.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -55,6 +59,7 @@ from .model import (
     lattice_compose,
     omega_factor,
 )
+from .roots import _sweep_roots
 
 __all__ = [
     "EnergyWindow",
@@ -130,81 +135,6 @@ def _make_state(s: float, t: float, params: ModelParams) -> BoundState:
 
 
 # ---------------------------------------------------------------------------
-# generic 1-D sweep: sign changes plus a signed dip probe for tangent pairs
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _bisect_scalar(f, a: float, b: float, fa: float) -> float:
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < 1e-15 * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
-def _golden_min(h, a: float, b: float) -> float:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = h(x1), h(x2)
-    for _ in range(200):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = h(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = h(x2)
-        if b - a < 1e-13 * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
-def _sweep_roots(f_vec, f_scalar, grid: np.ndarray) -> list[float]:
-    """All roots of f on the grid: bracketed sign changes are bisected, and
-    interior |f| dips without a sign change are probed for tangent pairs by
-    minimizing the signed value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f_vec(grid), dtype=float)
-    finite = np.isfinite(vals)
-    sign = np.sign(vals)
-    roots: list[float] = []
-    ok = finite[:-1] & finite[1:]
-    idx = np.nonzero(ok & (sign[:-1] * sign[1:] < 0.0))[0]
-    for i in idx:
-        roots.append(_bisect_scalar(f_scalar, grid[i], grid[i + 1], vals[i]))
-    exact = np.nonzero(finite & (vals == 0.0))[0]
-    for i in exact:
-        roots.append(float(grid[i]))
-    interior = np.arange(1, len(grid) - 1)
-    interior = interior[finite[interior - 1] & finite[interior] & finite[interior + 1]]
-    gm1, g0, gp1 = vals[interior - 1], vals[interior], vals[interior + 1]
-    dip = interior[
-        (np.sign(gm1) == np.sign(gp1))
-        & (np.sign(g0) == np.sign(gm1))
-        & (np.abs(g0) < np.abs(gm1))
-        & (np.abs(g0) < np.abs(gp1))
-        & (np.sign(g0) != 0.0)
-    ]
-    for i in dip:
-        sgn = float(np.sign(vals[i]))
-        h = lambda x: sgn * f_scalar(x)  # noqa: E731
-        a, b = float(grid[i - 1]), float(grid[i + 1])
-        m = _golden_min(h, a, b)
-        if h(m) < 0.0:
-            # the dip crosses zero: a nearly merged pair
-            roots.append(_bisect_scalar(f_scalar, a, m, f_scalar(a)))
-            roots.append(_bisect_scalar(f_scalar, m, b, f_scalar(m)))
-    return sorted(roots)
-
-
-# ---------------------------------------------------------------------------
 # real spectrum: Hermitian closed form
 
 def hermitian_spectrum(params: ModelParams, e_max: float) -> list[BoundState]:
@@ -250,8 +180,6 @@ def _bracket_grid(params: ModelParams, s_lo: float, s_max: float) -> np.ndarray:
             (math.pi / 4.0) / max(dtau_ds, 1e-9),
             0.25 / max(dsig_ds, 1e-9),
         )
-        if step > math.pi / max(dtau_ds, 1e-9):
-            log.warning("grid step %.3g exceeds half the oscillation period at s=%.6g", step, s)
         s = min(s + step, s_max)
         pts.append(s)
     return np.asarray(pts)
@@ -279,14 +207,11 @@ def real_spectrum_bracket(
         len(grid), s_lo, s_max, Z / (2.0 * s_max), Z / (2.0 * s_lo),
     )
 
-    def f_vec(s_arr):
-        return _residual_real_st(s_arr, Z / (2.0 * s_arr), om)
-
-    def f_scalar(s):
-        return float(_residual_real_st(s, Z / (2.0 * s), om))
+    def f(s):
+        return _residual_real_st(s, Z / (2.0 * s), om)
 
     states = []
-    for s_root in _sweep_roots(f_vec, f_scalar, grid):
+    for s_root in _sweep_roots(f, grid):
         t_root = Z / (2.0 * s_root)
         if t_root * t_root - s_root * s_root <= e_max:
             states.append(_make_state(s_root, t_root, params))
@@ -306,6 +231,15 @@ def _dedup_states(states: list[BoundState]) -> list[BoundState]:
 # ---------------------------------------------------------------------------
 # real spectrum: lattice tracer
 
+@functools.cache
+def _cluster_offsets() -> np.ndarray:
+    """Sample offsets clustered on each side of sigma = 0 and of the
+    asymptote, built on first use: np.geomspace at import adds about 0.3 MB
+    to every process that imports the package."""
+    g = np.geomspace(1e-10, 1.0, 40)
+    return np.concatenate([-g, g])
+
+
 def _solve_theta_line(tau_line: float, Om: float, om: float, sig_cap: float) -> list[float]:
     """All sigma in [-sig_cap, sig_cap] with Theta_(p,xi)(sigma) = tau_line.
 
@@ -313,34 +247,25 @@ def _solve_theta_line(tau_line: float, Om: float, om: float, sig_cap: float) -> 
     points geometrically around sigma = 0 and around the asymptote, where
     solutions accumulate as Omega grows."""
     pts = [-sig_cap, sig_cap]
-    pole = None
+    clusters = _cluster_offsets()
     if om != 0.0 and Om != 0.0:
         pole = math.asinh(1.0 / (Om * om))
         if -sig_cap < pole < sig_cap:
             pts = [-sig_cap, pole, sig_cap]
-        else:
-            pole = None
+            clusters = np.concatenate([clusters, pole + clusters])
+
+    def f(x):
+        return _theta_of_sinh(x, np.sinh(x), Om, om) - tau_line
+
     roots: list[float] = []
     for a, b in zip(pts[:-1], pts[1:]):
         eps = 1e-12 * max(1.0, abs(a), abs(b))
         lo, hi = a + eps, b - eps
         if hi <= lo:
             continue
-        grid = np.linspace(lo, hi, 240)
-        clusters = [grid]
-        for center in (0.0,) if pole is None else (0.0, pole):
-            for side in (-1.0, 1.0):
-                cl = center + side * np.geomspace(1e-10, 1.0, 40)
-                clusters.append(cl[(cl > lo) & (cl < hi)])
-        grid = np.unique(np.concatenate(clusters))
-        with np.errstate(over="ignore", invalid="ignore"):
-            fv = np.asarray(_theta_of_sinh(grid, np.sinh(grid), Om, om) - tau_line, dtype=float)
-        good = np.isfinite(fv)
-        g, fv = grid[good], fv[good]
-        sgn = np.sign(fv)
-        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]:
-            f = lambda x: float(_theta_of_sinh(x, np.sinh(x), Om, om)) - tau_line  # noqa: E731
-            roots.append(_bisect_scalar(f, float(g[i]), float(g[i + 1]), float(fv[i])))
+        inside = clusters[(clusters > lo) & (clusters < hi)]
+        grid = np.unique(np.concatenate([np.linspace(lo, hi, 240), inside]))
+        roots.extend(_sweep_roots(f, grid, dips=False))
     return sorted(roots)
 
 
@@ -511,13 +436,10 @@ def determinant_real_roots(
         pts.append(e)
     grid = np.asarray(pts)
 
-    def f_vec(e_arr):
-        return np.real(matching_determinant(e_arr.astype(complex), params))
+    def f(e):
+        return np.real(matching_determinant(e, params))
 
-    def f_scalar(e_val):
-        return float(matching_determinant(complex(e_val), params).real)
-
-    return _sweep_roots(f_vec, f_scalar, grid)
+    return _sweep_roots(f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +508,14 @@ def _winding_count(re0, re1, im0, im1, params: ModelParams) -> int:
 
 
 def _newton_complex(e0: complex, params: ModelParams) -> complex | None:
+    def slope(e: complex) -> complex:
+        h = 1e-6 * (1.0 + abs(e))
+        return (counting_determinant(e + h, params) - counting_determinant(e - h, params)) / (2.0 * h)
+
     e = e0
     for _ in range(80):
-        h = 1e-6 * (1.0 + abs(e))
         f0 = counting_determinant(e, params)
-        fp = (counting_determinant(e + h, params) - counting_determinant(e - h, params)) / (2.0 * h)
+        fp = slope(e)
         if fp == 0.0 or not cmath.isfinite(fp):
             return None
         step = f0 / fp
@@ -602,10 +527,7 @@ def _newton_complex(e0: complex, params: ModelParams) -> complex | None:
     # residual tolerance scaled by the local derivative: the counting
     # function ranges over many orders of magnitude across a window
     f_final = abs(counting_determinant(e, params))
-    h = 1e-6 * (1.0 + abs(e))
-    fp = abs(
-        (counting_determinant(e + h, params) - counting_determinant(e - h, params)) / (2.0 * h)
-    )
+    fp = abs(slope(e))
     if f_final > 1e-10 * max(1.0, fp * (1.0 + abs(e))):
         return None
     return e
@@ -803,8 +725,6 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
 def count_real(params: ModelParams, e_max: float) -> int:
     """Number of real levels with E <= e_max. Saturates as e_max grows
     whenever Z != 0 and omega != 0."""
-    if params.Z == 0.0:
-        return len(hermitian_spectrum(params, e_max))
     return len(real_spectrum_bracket(params, s_max=12.0, e_max=e_max))
 
 

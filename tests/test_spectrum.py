@@ -385,3 +385,71 @@ def test_complex_spectrum_pairs_pinned():
         "max_real_residual": 0.0,
         "sigma_star": -9.880453922598624,
     }
+
+
+# ---------------------------------------------------------------------------
+# one root kernel: the end cells of a sweep grid, and exact pins captured
+# with repr before the sign-change scans and bisections moved into
+# ptwell.roots, which must not move a bit
+
+
+def test_count_real_finds_a_merged_pair_in_the_first_grid_cell():
+    # the pair sits in the bracket grid's first cell, which starts at
+    # s(e_max) and holds no sign change
+    params = ModelParams(Z=0.9544154493901749, omega=0.0075937939022338585)
+    assert count_real(params, 1e6) == len(determinant_real_roots(params, 1e6)) == 637
+
+
+def _est(states):
+    return [(st.energy, st.wave.s, st.wave.t) for st in states]
+
+
+@pytest.mark.parametrize(
+    "Z, om, want",
+    [
+        (1.0, 0.1, [
+            (2.3703998733595264, 0.31804254630784623, 1.5721167051531209),
+            (9.79394071920508, 0.15956128198321817, 3.133592271166306),
+            (22.010611646223012, 0.10654718515213284, 4.692756540551284),
+            (39.47805042143333, 0.07957146090939608, 6.283659923867983),
+            (61.45365436786949, 0.06377959752039344, 7.839497573501082),
+            (88.87631131935835, 0.053035921761299495, 9.427572546968568),
+            (120.61626890581852, 0.04552640189548059, 10.982638187570783),
+        ]),
+        (1.3, -0.07, [
+            (2.8370004177314647, 0.3766085497465436, 1.7259300152305306),
+            (9.716940946935255, 0.20805749049209354, 3.1241364993042673),
+            (22.42651732957496, 0.13719878151336515, 4.73765140499211),
+            (39.42280396229751, 0.10350959127386515, 6.279611309450863),
+            (61.90397491977876, 0.08260953000187436, 7.868341582203069),
+            (88.77261022053631, 0.06898619962450107, 9.422174341216307),
+            (121.13957675749447, 0.05905600696483039, 11.006501004835874),
+            (157.83943199624434, 0.05173708067276201, 12.563522942302486),
+        ]),
+    ],
+)
+def test_lattice_levels_pinned(Z, om, want):
+    assert _est(real_spectrum_lattice(ModelParams(Z=Z, omega=om), k_max=3)) == want
+
+
+def test_bracket_and_determinant_scan_pinned():
+    params = ModelParams(Z=1.0, omega=0.1)
+    assert _est(real_spectrum_bracket(params, e_max=400.0)) == [
+        (2.3703998733595317, 0.31804254630784584, 1.5721167051531226),
+        (9.793940719205128, 0.15956128198321778, 3.1335922711663136),
+        (22.010611646222817, 0.1065471851521333, 4.6927565405512635),
+        (39.47805042143315, 0.07957146090939626, 6.283659923867969),
+        (61.45365436786911, 0.06377959752039364, 7.839497573501058),
+        (88.87631131935915, 0.05303592176129926, 9.42757254696861),
+        (120.61626890581925, 0.04552640189548045, 10.982638187570817),
+        (158.0372912180552, 0.039772971791331435, 12.571351284064109),
+        (199.4811840779178, 0.03540117454880125, 14.123825166047519),
+        (246.98429193915896, 0.03181518462306128, 15.715766101120606),
+        (298.0232453666275, 0.02896305195145204, 17.263374068385527),
+        (355.75120825492337, 0.026509185460423083, 18.86138677276507),
+    ]
+    assert determinant_real_roots(params, 400.0) == [
+        2.370399873359526, 9.79394071920508, 22.010611646223005, 39.47805042143335,
+        61.453654367869476, 88.87631131935835, 120.61626890581859, 158.03729121805355,
+        199.48118407791975, 246.98429193916172, 298.02324536663036, 355.7512082549299,
+    ]
