@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymptoteError, NodeAtMatchingPointError, OffContourError, PoleError
+from .errors import (
+    AsymptoteError,
+    NodeAtMatchingPointError,
+    OffContourError,
+    PoleError,
+    PTWellError,
+)
 from .model import (
     BoundState,
     ModelParams,
@@ -108,7 +114,8 @@ def theta_curve(spec: ThetaCurveSpec, sigma: float) -> float:
 
     Reduces to Omega*sigma*sinh(sigma) at omega = 0. For omega*Omega != 0 the
     curve has a vertical asymptote at sigma_inf = arcsinh(1/(omega*Omega));
-    evaluation within 1e-12 of it raises AsymptoteError.
+    evaluation within 1e-12 of it raises AsymptoteError. sinh overflows
+    for |sigma| above ~710, where PTWellError is raised.
     """
     Om = spec.Omega
     om = spec.omega
@@ -116,7 +123,14 @@ def theta_curve(spec: ThetaCurveSpec, sigma: float) -> float:
         sigma_inf = math.asinh(1.0 / (om * Om))
         if abs(sigma - sigma_inf) < _ASYMPTOTE_TOL:
             raise AsymptoteError(f"sigma={sigma} sits on the asymptote at {sigma_inf}")
-    return _theta_of_sinh(sigma, math.sinh(sigma), Om, om)
+    try:
+        sinh_sigma = math.sinh(sigma)
+    except OverflowError:
+        raise PTWellError(
+            f"sinh overflows at sigma={sigma}: Theta curves need |sigma| below ~710 "
+            f"(lower --sigma-max)"
+        ) from None
+    return _theta_of_sinh(sigma, sinh_sigma, Om, om)
 
 
 def _theta_of_sinh(sigma, sinh_sigma, Om, om):
@@ -148,7 +162,11 @@ def envelope_asymptote(sigma: float, omega: float, branch_sign: int) -> float:
     if sigma >= -2.0:
         raise ValueError(f"asymptotic form requires sigma < -2, got {sigma}")
     aw = abs(omega)
-    return -sigma / aw - branch_sign * (aw + 1.0 / aw) / math.sinh(sigma)
+    try:
+        sinh_sigma = math.sinh(sigma)
+    except OverflowError:  # sigma < ~-710: the 1/sinh term is below any double
+        return -sigma / aw
+    return -sigma / aw - branch_sign * (aw + 1.0 / aw) / sinh_sigma
 
 
 def matching_determinant(E, params: ModelParams):

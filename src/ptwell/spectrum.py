@@ -477,7 +477,12 @@ def _edge_phase_sum(z0: complex, z1: complex, params: ModelParams) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = counting_determinant(pts, params)
     for _ in range(48):
-        if not np.all(np.isfinite(vals) & (vals != 0.0)):
+        if not np.all(np.isfinite(vals)):
+            raise WindowError(
+                f"the counting determinant overflows on the edge from {z0} to {z1}: "
+                f"windows must keep |kappa*(1+|omega|)| below ~700"
+            )
+        if not np.all(vals != 0.0):
             raise _BoundaryHit
         steps = np.diff(np.angle(vals))
         steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
@@ -496,11 +501,18 @@ def _edge_phase_sum(z0: complex, z1: complex, params: ModelParams) -> float:
     raise SolverError("edge phase did not stabilize")
 
 
-def _winding_count(re0, re1, im0, im1, params: ModelParams) -> int:
+def _winding_count(re0, re1, im0, im1, params: ModelParams, edges: dict) -> int:
+    """Winding of G around the rectangle. edges maps each segment (a, b)
+    summed so far to its phase change: a neighbour that ran the segment
+    as (b, a) gives its negative, and each new segment is added."""
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
     total = 0.0
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        total += _edge_phase_sum(a, b, params)
+        if (b, a) in edges:
+            total -= edges[(b, a)]
+        else:
+            edges[(a, b)] = _edge_phase_sum(a, b, params)
+            total += edges[(a, b)]
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.05:
         raise SolverError(f"non-integer winding {w:.3f} over [{re0},{re1}]x[{im0},{im1}]")
@@ -550,19 +562,30 @@ class _Cell(NamedTuple):
     scale: float
 
 
-def _counted_cell(re0, re1, im0, im1, params: ModelParams) -> _Cell:
+def _counted_cell(re0, re1, im0, im1, params: ModelParams, edges: dict) -> _Cell:
     """Count the zeros in the rectangle, padding it outward while a zero
-    sits on its boundary."""
+    sits on its boundary. The four cells of one split share one edges dict
+    (see _winding_count), so each interior segment is summed once."""
     scale = max(abs(re0), abs(re1), abs(im0), abs(im1), 1.0)
     for attempt in range(5):
         try:
-            return _Cell(re0, re1, im0, im1, _winding_count(re0, re1, im0, im1, params), scale)
+            return _Cell(re0, re1, im0, im1, _winding_count(re0, re1, im0, im1, params, edges), scale)
         except _BoundaryHit:
             pad = 1e-7 * scale * (attempt + 1)
             re0, re1, im0, im1 = re0 - pad, re1 + pad, im0 - pad, im1 + pad
     raise SolverError(
         f"could not move the window [{re0},{re1}]x[{im0},{im1}] off a boundary zero"
     )
+
+
+def _real_axis_sign_change(re0: float, re1: float, params: ModelParams) -> bool:
+    """Whether Re G changes sign on [re0, re1] of the real axis, sampled
+    at the edge density. G is real there, so a sign change proves a zero."""
+    z0, z1 = complex(re0, 0.0), complex(re1, 0.0)
+    pts = _edge_points(z0, z1, _initial_edge_density(z0, z1, params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = counting_determinant(pts, params).real
+        return bool(np.any(vals[:-1] * vals[1:] < 0.0))
 
 
 def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[complex]:
@@ -572,8 +595,11 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
     Newton from a few interior starts. Otherwise it is split into four at
     the first fraction, in _SPLIT_FRACS order from the depth, whose
     children's windings add up to w; all four children are counted before
-    any of them is solved. A split line through a zero pads the children
-    over it, so both count it, and the sum exceeds w.
+    any of them is solved, and the four children of one split sum each
+    interior segment once. A split line through a zero pads the children
+    over it, so both count it, and the sum exceeds w. So a split whose
+    line is the real axis, where the real levels sit, is skipped without
+    counting when Re G changes sign along it.
     """
     re0, re1, im0, im1, w, scale = cell
     if w == 0:
@@ -597,13 +623,20 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
             )
     if depth > 60:
         raise SolverError("window subdivision exceeded maximal depth")
-    sums = []
+    tried = []
     for k in (0, 1):
         frac = _SPLIT_FRACS[(depth + k) % len(_SPLIT_FRACS)]
         rm = re0 + frac * (re1 - re0)
         im_mid = im0 + frac * (im1 - im0)
+        if im_mid == 0.0 and _real_axis_sign_change(re0, re1, params):
+            tried.append(
+                f"split fraction {frac} skipped: Re G changes sign on its line Im E = 0, "
+                "so both halves would count that zero"
+            )
+            continue
+        edges: dict = {}
         children = [
-            _counted_cell(*rect, params)
+            _counted_cell(*rect, params, edges)
             for rect in (
                 (re0, rm, im0, im_mid),
                 (rm, re1, im0, im_mid),
@@ -611,13 +644,13 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
                 (rm, re1, im_mid, im1),
             )
         ]
-        sums.append((frac, sum(child.w for child in children)))
-        if sums[-1][1] == w:
+        total = sum(child.w for child in children)
+        if total == w:
             break
+        tried.append(f"child windings add up to {total} at split fraction {frac}")
     else:
         raise CountMismatchError(
-            f"window [{re0},{re1}]x[{im0},{im1}]: winding {w} but the child windings add up to "
-            + " and ".join(f"{total} at split fraction {frac}" for frac, total in sums)
+            f"window [{re0},{re1}]x[{im0},{im1}]: winding {w}, but " + "; ".join(tried)
         )
     roots: list[complex] = []
     for child in children:
@@ -635,7 +668,10 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
 
     A cell is split only where the windings of its four children add up
     to its own, checked before any child is solved; if neither of the two
-    split fractions tried adds up, CountMismatchError names the cell.
+    split fractions tried adds up, CountMismatchError names the cell. A
+    split along the real axis is skipped without counting when G changes
+    sign on it, since both halves would count that real level; the four
+    children of a split integrate each shared interior edge once.
 
     Roots with |Im E| < 1e-8 are classified real and reported as bound
     states; the rest must come in conjugate pairs (hard error otherwise),
@@ -654,7 +690,7 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
             f"[{window.im_min}, {window.im_max}]"
         )
     roots = _find_zeros(
-        _counted_cell(window.re_min, window.re_max, window.im_min, window.im_max, params), params
+        _counted_cell(window.re_min, window.re_max, window.im_min, window.im_max, params, {}), params
     )
     w_total = len(roots)
 

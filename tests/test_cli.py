@@ -180,6 +180,20 @@ def test_curves_intersection_families(capsys):
     assert "envelope_upper" in names and "envelope_lower" in names
 
 
+@pytest.mark.parametrize("family", ["theta", "oval", "intersection"])
+@pytest.mark.parametrize("omega", ["0.1", "-0.1"])
+def test_curves_past_sinh_overflow_exits_with_a_message(family, omega):
+    rc, out, err = run_cli(
+        "curves", "--Z", "1", "--omega", omega, "--family", family, "--sigma-max", "800"
+    )
+    assert (rc == 0 and out) or (rc in (2, 3) and err.startswith(b"error: "))
+
+
+def test_exit_code_window_past_overflow():
+    rc, out, err = run_cli("complex", "--Z", "1", "--omega", "0.1", "--window=-1e6,0,-40,40")
+    assert rc == 3 and out == b"" and b"below ~700" in err
+
+
 def test_curves_requires_family():
     rc, _, err = run_cli("curves", "--Z", "1", "--omega", "0.1")
     assert rc == 2 and b"family" in err

@@ -30,6 +30,7 @@ _COMMANDS = [
     ["count", "--Z", "1", "--emax", "1e6"],
     ["complex", "--Z", "1", "--window", "0,400,-40,40"],
     ["complex", "--Z", "1", "--window", "2100,3500,-200,200"],
+    ["complex", "--Z", "1", "--window", "0,500,-20,20"],
     ["critical", "--n", "1"],
     ["curves", "--Z", "1", "--family", "theta"],
     ["curves", "--Z", "1", "--family", "oval"],

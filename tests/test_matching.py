@@ -12,6 +12,7 @@ from ptwell.errors import (
     NodeAtMatchingPointError,
     OffContourError,
     PoleError,
+    PTWellError,
 )
 from ptwell.matching import (
     ThetaCurveSpec,
@@ -93,6 +94,12 @@ def test_theta_asymptote_location():
         theta_asymptote(ThetaCurveSpec(p=1, xi=0.0, omega=0.0))
 
 
+def test_theta_curve_overflow_names_sigma_max():
+    for om in (0.0, 0.1, -0.1):
+        with pytest.raises(PTWellError, match="--sigma-max"):
+            theta_curve(ThetaCurveSpec(p=1, xi=0.5, omega=om), -800.0)
+
+
 def test_theta_curve_spec_validation():
     with pytest.raises(ValueError):
         ThetaCurveSpec(p=0, xi=0.0, omega=0.1)
@@ -112,6 +119,13 @@ def test_envelope_asymptote_values():
     assert up - lo == pytest.approx(0.27222541777789955, rel=1e-12)
     assert envelope_asymptote(-10.0, 1.0, 1) == pytest.approx(10.000181599719424, rel=1e-12)
     assert envelope_asymptote(-10.0, 1.0, -1) == pytest.approx(9.999818400280576, rel=1e-12)
+
+
+def test_envelope_asymptote_past_sinh_overflow():
+    # 1/sinh(sigma) is below any double once sinh overflows
+    assert envelope_asymptote(-800.0, 0.1, 1) == 800.0 / 0.1
+    assert envelope_asymptote(-800.0, -0.1, -1) == 800.0 / 0.1
+    assert envelope_asymptote(-700.0, 0.1, 1) == 700.0 / 0.1 - (0.1 + 1.0 / 0.1) / math.sinh(-700.0)
 
 
 def test_envelope_asymptote_validation():

@@ -5,7 +5,8 @@ import math
 import pytest
 
 import properties as P
-from ptwell.errors import SolverError, WindowError
+from ptwell import spectrum
+from ptwell.errors import CountMismatchError, SolverError, WindowError
 from ptwell.model import ModelParams, sigma_tau_from_st, st_from_sigma_tau, RotatedPoint
 from ptwell.constraint import sigma_star, xi_branch
 from ptwell.matching import residual_real
@@ -301,6 +302,55 @@ def test_complex_spectrum_default_window(Z, om):
 )
 def test_complex_spectrum_acceptance_window_defects(Z, om, window):
     _check_window(ModelParams(Z=Z, omega=om), EnergyWindow(*window))
+
+
+@pytest.fixture
+def edge_segments(monkeypatch):
+    """The (z0, z1) of every edge phase sum computed while the test runs."""
+    segments = []
+    edge_phase_sum = spectrum._edge_phase_sum
+
+    def recording(z0, z1, params):
+        segments.append((z0, z1))
+        return edge_phase_sum(z0, z1, params)
+
+    monkeypatch.setattr(spectrum, "_edge_phase_sum", recording)
+    return segments
+
+
+def test_complex_spectrum_skips_the_real_axis_split(edge_segments):
+    rep = _check_window(ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 400.0, -40.0, 40.0))
+    assert rep.real_levels and edge_segments
+    assert not [seg for seg in edge_segments if seg[0].imag == 0.0 and seg[1].imag == 0.0]
+
+
+def test_one_split_sums_each_interior_edge_once(edge_segments):
+    params = ModelParams(Z=1.0, omega=0.1)
+    quarters = [
+        (2100.0, 2800.0, -200.0, 0.0),
+        (2800.0, 3500.0, -200.0, 0.0),
+        (2100.0, 2800.0, 0.0, 200.0),
+        (2800.0, 3500.0, 0.0, 200.0),
+    ]
+    alone = [spectrum._counted_cell(*rect, params, {}) for rect in quarters]
+    edge_segments.clear()
+    edges = {}
+    assert [spectrum._counted_cell(*rect, params, edges) for rect in quarters] == alone
+    # 16 cell edges, of which the 4 interior half-segments are shared
+    assert len(edge_segments) == len(set(edge_segments)) == len(edges) == 12
+
+
+def test_count_mismatch_names_the_skipped_split(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SPLIT_FRACS", (0.5,))
+    with pytest.raises(CountMismatchError) as err:
+        complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 400.0, -40.0, 40.0))
+    assert "split fraction 0.5 skipped: Re G changes sign on its line Im E = 0" in str(err.value)
+
+
+def test_complex_spectrum_overflow_is_a_window_error():
+    # cosh overflows at E = -1e6, where |kappa*(1+|omega|)| is about 1100
+    with pytest.raises(WindowError, match="overflows on the edge from .* below ~700"):
+        complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(-1e6, 0.0, -40.0, 40.0))
 
 
 def test_complex_spectrum_leaves_out_sigma_star_without_crossover():
