@@ -290,14 +290,13 @@ def _chain_locus(k: int, p: int, q: int, args: argparse.Namespace) -> list[dict]
                 1.0 - np.geomspace(1e-6, 0.05, 12),
             ]
         )
-    )
+    ).tolist()
     chains: list[list[tuple[float, float]]] = []
     tails: list[float] = []
-    for xi in xis:
-        tau_line = lattice_compose(LatticeIndex(k, p, q, float(xi)))
-        pts = _locus_points(float(xi), k, p, q, args.params, args.sigma_max)
+    for xi, pts in zip(xis, _locus_points(xis, k, p, q, args.params, args.sigma_max)):
+        tau_line = lattice_compose(LatticeIndex(k, p, q, xi))
         used = set()
-        for sg, _, _, _ in pts:
+        for sg in pts[:, 0].tolist():
             best = None
             for ci, tail in enumerate(tails):
                 if ci in used:

@@ -1,9 +1,11 @@
 """The bracketed-root kernel behind every real root search.
 
 Each caller passes one function f that takes a float or a numpy array,
-and a 1-D grid fine enough to resolve every oscillation of f. Bisection
-stays scalar: a grid holds few brackets, and masked numpy bisection over
-them is slower than this loop.
+and a 1-D grid fine enough to resolve every oscillation of f. A single
+grid holds few brackets, so _sweep_roots bisects them one by one with
+_bisect_scalar; a caller holding the brackets of many grids at once (the
+lattice tracer's Theta lines) refines them together with _bisect_batch,
+which takes the same steps lane by lane.
 """
 
 from __future__ import annotations
@@ -28,6 +30,35 @@ def _bisect_scalar(f, a: float, b: float, fa: float, rtol: float = 1e-15) -> flo
         if b - a < rtol * max(1.0, abs(a)):
             break
     return 0.5 * (a + b)
+
+
+def _bisect_batch(f, a, b, fa, rtol: float = 1e-15) -> np.ndarray:
+    """_bisect_scalar on every bracket [a[j], b[j]] at once, equal to it
+    lane by lane bit for bit: the same midpoints, the same fa*fm <= 0 rule,
+    and each lane freezes once it is narrower than rtol*max(1, |a|).
+
+    f(x, lanes) evaluates lane lanes[i] at x[i]: the brackets may belong to
+    different functions, told apart by their lane index."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa = np.array(fa, dtype=float)
+    out = np.empty_like(a)
+    lanes = np.arange(a.size)
+    for _ in range(200):
+        if lanes.size == 0:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m, lanes)
+        left = fa * fm <= 0.0
+        b = np.where(left, m, b)
+        a = np.where(left, a, m)
+        fa = np.where(left, fa, fm)
+        done = b - a < rtol * np.maximum(1.0, np.abs(a))
+        out[lanes[done]] = 0.5 * (a[done] + b[done])
+        keep = ~done
+        a, b, fa, lanes = a[keep], b[keep], fa[keep], lanes[keep]
+    out[lanes] = 0.5 * (a + b)
+    return out
 
 
 def _golden_min(h, a: float, b: float) -> float:

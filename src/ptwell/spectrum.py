@@ -7,8 +7,11 @@ Real levels come from three independent methods that must agree:
   nearly merged pairs;
 * the lattice tracer -- the geometric method: per stripe and lattice-line
   family, solve the frozen-oscillation curve equation for sigma on a xi
-  refinement grid, trace the solution loci, detect crossings of the
-  constraint hyperbola and polish each with a 2-D Newton iteration;
+  grid refined in rounds where the solution count changes, trace the
+  solution loci, detect crossings of the constraint hyperbola and polish
+  each with a 2-D Newton iteration. The lines of every family are solved
+  together: their grids are scanned in fixed chunks and all brackets are
+  bisected in one batch;
 * the determinant scan -- the real zeros of the quantization determinant
   along the real energy axis.
 
@@ -19,7 +22,7 @@ refinement. Critical
 couplings are located by bisection on the real-level count.
 
 Every real root search -- the bracketing sweep, the determinant scan
-and each lattice line -- goes through the one kernel in ptwell.roots.
+and the lattice lines -- goes through the one kernel in ptwell.roots.
 
 All energies are double precision; windows must keep |kappa*(1+|omega|)|
 below ~700 so cosh stays finite.
@@ -59,7 +62,7 @@ from .model import (
     lattice_compose,
     omega_factor,
 )
-from .roots import _sweep_roots
+from .roots import _bisect_batch, _sweep_roots
 
 __all__ = [
     "EnergyWindow",
@@ -240,33 +243,81 @@ def _cluster_offsets() -> np.ndarray:
     return np.concatenate([-g, g])
 
 
-def _solve_theta_line(tau_line: float, Om: float, om: float, sig_cap: float) -> list[float]:
-    """All sigma in [-sig_cap, sig_cap] with Theta_(p,xi)(sigma) = tau_line.
+# Theta lines scanned at once: a segment's grid holds up to 400 samples,
+# so a chunk's arrays stay near 0.1 MB each; scanning all lines of a
+# k_max = 16 solve at once held about 240 MB.
+_LINE_CHUNK = 16
 
-    The scan splits at the curve's vertical asymptote and clusters sample
-    points geometrically around sigma = 0 and around the asymptote, where
-    solutions accumulate as Omega grows."""
-    pts = [-sig_cap, sig_cap]
-    clusters = _cluster_offsets()
-    if om != 0.0 and Om != 0.0:
-        pole = math.asinh(1.0 / (Om * om))
-        if -sig_cap < pole < sig_cap:
-            pts = [-sig_cap, pole, sig_cap]
-            clusters = np.concatenate([clusters, pole + clusters])
 
-    def f(x):
-        return _theta_of_sinh(x, np.sinh(x), Om, om) - tau_line
+def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.ndarray]:
+    """For each line j, the sorted array of all sigma in [-sig_cap, sig_cap]
+    with Theta(sigma) = tau_lines[j] on the curve of Omega = Oms[j].
 
-    roots: list[float] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        eps = 1e-12 * max(1.0, abs(a), abs(b))
-        lo, hi = a + eps, b - eps
-        if hi <= lo:
-            continue
-        inside = clusters[(clusters > lo) & (clusters < hi)]
-        grid = np.unique(np.concatenate([np.linspace(lo, hi, 240), inside]))
-        roots.extend(_sweep_roots(f, grid, dips=False))
-    return sorted(roots)
+    Each line's scan splits at the curve's vertical asymptote and clusters
+    sample points geometrically around sigma = 0 and around the asymptote,
+    where solutions accumulate as Omega grows. The lines are scanned
+    _LINE_CHUNK at a time; every bracket of the call is then bisected in
+    one _bisect_batch."""
+    tau = np.asarray(tau_lines, dtype=float)
+    Om = np.asarray(Oms, dtype=float)
+    if tau.size == 0:
+        return []
+    offsets = _cluster_offsets()
+    brackets, zeros = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, tau.size, _LINE_CHUNK):
+            seg_line, seg_lo, seg_hi, seg_pole = [], [], [], []
+            for j in range(c0, min(c0 + _LINE_CHUNK, tau.size)):
+                pts, pole = [-sig_cap, sig_cap], math.nan
+                if om != 0.0 and Om[j] != 0.0:
+                    at = math.asinh(1.0 / (float(Om[j]) * om))
+                    if -sig_cap < at < sig_cap:
+                        pts, pole = [-sig_cap, at, sig_cap], at
+                for a, b in zip(pts[:-1], pts[1:]):
+                    eps = 1e-12 * max(1.0, abs(a), abs(b))
+                    if b - eps > a + eps:
+                        seg_line.append(j)
+                        seg_lo.append(a + eps)
+                        seg_hi.append(b - eps)
+                        seg_pole.append(pole)
+            line = np.array(seg_line, dtype=int)
+            lo, hi = np.array(seg_lo)[:, None], np.array(seg_hi)[:, None]
+            # each row: 240 even samples and the offsets (around the pole
+            # too) inside the segment, sorted and deduplicated like np.unique
+            n_off = offsets.size
+            grid = np.empty((line.size, 240 + 2 * n_off))
+            grid[:, :240] = np.linspace(lo[:, 0], hi[:, 0], 240, axis=1)
+            grid[:, 240:240 + n_off] = offsets
+            grid[:, 240 + n_off:] = np.array(seg_pole)[:, None] + offsets
+            near = grid[:, 240:]
+            near[~((near > lo) & (near < hi))] = np.inf
+            grid.sort(axis=1)
+            keep = np.isfinite(grid)
+            keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+            x = grid[keep]
+            counts = keep.sum(axis=1)
+            del grid, keep, near
+            pt_line = np.repeat(line, counts)
+            vals = _theta_of_sinh(x, np.sinh(x), Om[pt_line], om)
+            vals -= tau[pt_line]
+            finite = np.isfinite(vals)
+            sign = np.sign(vals)
+            pairs = finite[:-1] & finite[1:] & (sign[:-1] * sign[1:] < 0.0)
+            pairs[np.cumsum(counts)[:-1] - 1] = False  # no bracket across segments
+            cross = np.nonzero(pairs)[0]
+            brackets.append((x[cross], x[cross + 1], vals[cross], pt_line[cross]))
+            zero = finite & (vals == 0.0)
+            zeros.append((x[zero], pt_line[zero]))
+        a, b, fa, lane_line = (np.concatenate(parts) for parts in zip(*brackets))
+
+        def f(m, lanes):
+            j = lane_line[lanes]
+            return _theta_of_sinh(m, np.sinh(m), Om[j], om) - tau[j]
+
+        roots = np.concatenate([_bisect_batch(f, a, b, fa), *(z for z, _ in zeros)])
+    line = np.concatenate([lane_line, *(j for _, j in zeros)])
+    order = np.lexsort((roots, line))
+    return np.split(roots[order], np.cumsum(np.bincount(line, minlength=tau.size))[:-1])
 
 
 def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] | None:
@@ -309,51 +360,85 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     return None
 
 
-def _locus_points(
-    xi: float, k: int, p: int, q: int, params: ModelParams, sig_cap: float
-) -> list[tuple[float, float, float, float]]:
-    """Locus samples (sigma, 2st - Z, s, t) on the lattice line (k, p, q, xi)."""
-    tau_line = lattice_compose(LatticeIndex(k, p, q, xi))
-    if tau_line <= 0.0:
-        return []
-    out = []
-    for sg in _solve_theta_line(tau_line, omega_factor(p, xi), params.omega, sig_cap):
-        s, t = _st_from_sigma_tau_raw(sg, tau_line, params.omega)
-        out.append((sg, 2.0 * s * t - params.Z, s, t))
+def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
+    """Locus samples on each lattice line (xi, k, p, q) of lines, all solved
+    in one _solve_theta_lines call: per line an (n, 4) array whose rows are
+    (sigma, 2st - Z, s, t) in increasing sigma."""
+    taus = [lattice_compose(LatticeIndex(k, p, q, xi)) for xi, k, p, q in lines]
+    live = [j for j, tau in enumerate(taus) if tau > 0.0]
+    out = [np.empty((0, 4))] * len(lines)
+    if not live:
+        return out
+    sols = _solve_theta_lines(
+        [taus[j] for j in live],
+        [omega_factor(lines[j][2], lines[j][0]) for j in live],
+        params.omega,
+        sig_cap,
+    )
+    counts = [len(sg) for sg in sols]
+    sg = np.concatenate(sols)
+    s, t = _st_from_sigma_tau_raw(sg, np.repeat([taus[j] for j in live], counts), params.omega)
+    pts = np.stack([sg, 2.0 * s * t - params.Z, s, t], axis=1)
+    for j, part in zip(live, np.split(pts, np.cumsum(counts)[:-1])):
+        out[j] = part
     return out
 
 
-def _trace_family(
-    k: int, p: int, q: int, params: ModelParams, sig_cap: float, n_xi: int,
-    seeds: list[tuple[float, float]],
-) -> None:
-    """Sweep xi over [0, 1) for one (stripe, p, q) family, tracking the locus
-    and emitting Newton seeds at hyperbola crossings.
+def _locus_points(
+    xis, k: int, p: int, q: int, params: ModelParams, sig_cap: float
+) -> list[np.ndarray]:
+    """Locus samples on the lattice lines (k, p, q, xi), one (n, 4) array of
+    rows (sigma, 2st - Z, s, t) per xi of xis."""
+    return _loci([(xi, k, p, q) for xi in xis], params, sig_cap)
 
-    Solution-count changes (pair birth or death at a tangency) are refined
-    in xi down to 1e-5 and the adjacent-solution midpoints on the richer
-    side are seeded as well: the crossing may sit arbitrarily close to the
-    tangency."""
+
+def _trace_loci(
+    families: list[tuple[int, int, int]], params: ModelParams, sig_cap: float, n_xi: int
+) -> list[dict[float, np.ndarray]]:
+    """The loci of each (stripe, p, q) family, keyed by xi in [0, 1).
+
+    Every family starts on one xi grid. Solution-count changes (pair birth
+    or death at a tangency) are then refined in rounds: each round adds the
+    midpoint of every adjacent pair of xi, in any family, whose counts
+    differ and that lie more than 1e-5 apart, until no such pair is left.
+    The initial grid of all families is solved in one call, and so is each
+    round."""
     # High stripes push intersections against the xi -> 1 boundary like
     # 1 - xi ~ Z^2 / tau^3, so the boundary cluster has to reach far deeper
     # than a uniform grid: 1e-12 covers every root the tau resolution of
     # float64 can distinguish from the boundary pole itself.
-    xis = list(
-        np.unique(
-            np.concatenate(
-                [np.linspace(0.0, 1.0 - 1e-6, n_xi), 1.0 - np.geomspace(1e-12, 0.05, 22)]
-            )
-        )
-    )
-    i = 0
-    prev: list[tuple[float, float, float, float]] | None = None
-    prev_xi = 0.0
-    while i < len(xis):
-        xi = float(xis[i])
-        cur = _locus_points(xi, k, p, q, params, sig_cap)
-        if prev is not None and len(cur) != len(prev) and xi - prev_xi > 1e-5:
-            xis.insert(i, 0.5 * (xi + prev_xi))
-            continue
+    xis = np.unique(
+        np.concatenate([np.linspace(0.0, 1.0 - 1e-6, n_xi), 1.0 - np.geomspace(1e-12, 0.05, 22)])
+    ).tolist()
+    flat = _loci([(xi, *fam) for fam in families for xi in xis], params, sig_cap)
+    loci = [dict(zip(xis, flat[i * len(xis):(i + 1) * len(xis)])) for i in range(len(families))]
+    gaps = [(i, lo, hi) for i in range(len(families)) for lo, hi in zip(xis[:-1], xis[1:])]
+    while True:
+        split = [
+            (i, lo, hi, 0.5 * (hi + lo))
+            for i, lo, hi in gaps
+            if len(loci[i][lo]) != len(loci[i][hi]) and hi - lo > 1e-5
+        ]
+        if not split:
+            return loci
+        sols = _loci([(mid, *families[i]) for i, _, _, mid in split], params, sig_cap)
+        gaps = []
+        for (i, lo, hi, mid), pts in zip(split, sols):
+            loci[i][mid] = pts
+            gaps += [(i, lo, mid), (i, mid, hi)]
+
+
+def _trace_family(locus: dict[float, np.ndarray], seeds: list[tuple[float, float]]) -> None:
+    """Walk one family's loci in xi order and emit Newton seeds at
+    hyperbola crossings.
+
+    Where the solution count changes between neighbouring xi (the
+    refinement rounds of _trace_loci have brought them within 1e-5), the
+    adjacent-solution midpoints on the richer side are seeded as well: the
+    crossing may sit arbitrarily close to the tangency."""
+    prev: list[list[float]] | None = None
+    for xi in sorted(locus):
+        cur = locus[xi].tolist()
         if prev is not None:
             if len(cur) != len(prev):
                 rich = cur if len(cur) > len(prev) else prev
@@ -369,8 +454,7 @@ def _trace_family(
                             best = (dist, h0, s0, t0)
                     if best is not None and best[0] < 1.5 and h * best[1] < 0.0:
                         seeds.append((0.5 * (s + best[2]), 0.5 * (t + best[3])))
-        prev, prev_xi = cur, xi
-        i += 1
+        prev = cur
 
 
 def real_spectrum_lattice(
@@ -387,11 +471,10 @@ def real_spectrum_lattice(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if params.Z == 0.0:
         return hermitian_spectrum(params, e_max=((k_max + 1) * math.pi) ** 2)
+    families = [(k, p, q) for k in range(0, k_max + 1) for p in (1, -1) for q in (1, -1)]
     seeds: list[tuple[float, float]] = []
-    for k in range(0, k_max + 1):
-        for p in (1, -1):
-            for q in (1, -1):
-                _trace_family(k, p, q, params, sig_cap, n_xi, seeds)
+    for locus in _trace_loci(families, params, sig_cap, n_xi):
+        _trace_family(locus, seeds)
     states: list[BoundState] = []
     failures = []
     for s0, t0 in seeds:
@@ -520,14 +603,17 @@ def _winding_count(re0, re1, im0, im1, params: ModelParams, edges: dict) -> int:
 
 
 def _newton_complex(e0: complex, params: ModelParams) -> complex | None:
-    def slope(e: complex) -> complex:
+    def value_and_slope(e: complex) -> tuple[complex, complex]:
+        # G at e and at e +- h in one call; the central difference is taken
+        # in Python complex arithmetic, where numpy's complex division by
+        # 2h would round differently
         h = 1e-6 * (1.0 + abs(e))
-        return (counting_determinant(e + h, params) - counting_determinant(e - h, params)) / (2.0 * h)
+        g = counting_determinant(np.array([e, e + h, e - h]), params)
+        return complex(g[0]), (complex(g[1]) - complex(g[2])) / (2.0 * h)
 
     e = e0
     for _ in range(80):
-        f0 = counting_determinant(e, params)
-        fp = slope(e)
+        f0, fp = value_and_slope(e)
         if fp == 0.0 or not cmath.isfinite(fp):
             return None
         step = f0 / fp
@@ -538,9 +624,8 @@ def _newton_complex(e0: complex, params: ModelParams) -> complex | None:
         return None
     # residual tolerance scaled by the local derivative: the counting
     # function ranges over many orders of magnitude across a window
-    f_final = abs(counting_determinant(e, params))
-    fp = abs(slope(e))
-    if f_final > 1e-10 * max(1.0, fp * (1.0 + abs(e))):
+    f_final, fp = value_and_slope(e)
+    if abs(f_final) > 1e-10 * max(1.0, abs(fp) * (1.0 + abs(e))):
         return None
     return e
 

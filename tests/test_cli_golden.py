@@ -3,7 +3,9 @@
 tests/golden/cli_sha256.json holds the SHA-256 and byte length of stdout
 for each in-process `main()` call listed in GOLDEN_CALLS. Every command is
 run at omega = 0.1 and omega = -0.1, in json and in csv, plus one call
-that reads its settings from a config file.
+that reads its settings from a config file, plus EXTRA_CALLS, which pin
+the lattice tracer at k_max = 16, on lines without a pole (omega = 0)
+and on one stripe's ovals.
 
 A change that alters output bytes on purpose regenerates the file with
 `PYTHONPATH=src python3 tests/test_cli_golden.py` and says so in
@@ -50,6 +52,14 @@ CONFIG_CALL = ["spectrum", "--config", "{cfg}", "--omega", "-0.1", "--format", "
 _CONFIG_TEXT = "# golden config\nZ = 1\nomega = 0.1\nmethod = lattice\nkmax = 3\nemax = 400\n"
 
 
+# single calls: each at its own omega, in json
+EXTRA_CALLS = [
+    ["spectrum", "--Z", "4", "--omega", "-0.2", "--method", "lattice", "--kmax", "16"],
+    ["curves", "--Z", "1", "--omega", "0", "--family", "intersection"],
+    ["curves", "--Z", "1", "--omega", "-0.1", "--family", "oval", "--stripe", "2"],
+]
+
+
 def _run(argv: list[str]) -> tuple[int, bytes]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -62,7 +72,7 @@ def _digests() -> dict[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = pathlib.Path(tmp) / "golden.cfg"
         cfg.write_text(_CONFIG_TEXT, encoding="utf-8")
-        for argv in GOLDEN_CALLS + [CONFIG_CALL]:
+        for argv in GOLDEN_CALLS + [CONFIG_CALL] + EXTRA_CALLS:
             rc, data = _run([str(cfg) if a == "{cfg}" else a for a in argv])
             if rc != 0:
                 raise AssertionError(f"{' '.join(argv)} exited {rc}")

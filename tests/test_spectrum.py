@@ -1,15 +1,26 @@
 """Real and complex spectra: four solvers, counts, critical couplings."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import properties as P
 from ptwell import spectrum
 from ptwell.errors import CountMismatchError, SolverError, WindowError
-from ptwell.model import ModelParams, sigma_tau_from_st, st_from_sigma_tau, RotatedPoint
+from ptwell.model import (
+    LatticeIndex,
+    ModelParams,
+    RotatedPoint,
+    lattice_compose,
+    omega_factor,
+    sigma_tau_from_st,
+    st_from_sigma_tau,
+)
 from ptwell.constraint import sigma_star, xi_branch
-from ptwell.matching import residual_real
+from ptwell.matching import _theta_of_sinh, residual_real
+from ptwell.roots import _sweep_roots
 from ptwell.spectrum import (
     EnergyWindow,
     _newton_2d,
@@ -503,3 +514,77 @@ def test_bracket_and_determinant_scan_pinned():
         61.453654367869476, 88.87631131935835, 120.61626890581859, 158.03729121805355,
         199.48118407791975, 246.98429193916172, 298.02324536663036, 355.7512082549299,
     ]
+
+
+# ---------------------------------------------------------------------------
+# batched Theta lines
+
+
+def _random_lines(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    taus, Oms = [], []
+    for _ in range(n):
+        k, p, q = int(rng.integers(0, 17)), int(rng.choice([1, -1])), int(rng.choice([1, -1]))
+        xi = float(rng.choice([rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-12, -1), 0.0]))
+        taus.append(lattice_compose(LatticeIndex(k, p, q, xi)))
+        Oms.append(omega_factor(p, xi))
+    return taus, Oms
+
+
+def _one_line_reference(tau_line, Om, om, sig_cap):
+    """The per-line scan the batch replaced: split at the pole, 240 even
+    samples plus the cluster offsets, each segment swept on its own."""
+    pts, clusters = [-sig_cap, sig_cap], spectrum._cluster_offsets()
+    if om != 0.0:
+        pole = math.asinh(1.0 / (Om * om))
+        if -sig_cap < pole < sig_cap:
+            pts, clusters = [-sig_cap, pole, sig_cap], np.concatenate([clusters, pole + clusters])
+
+    def f(x):
+        return _theta_of_sinh(x, np.sinh(x), Om, om) - tau_line
+
+    roots = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        eps = 1e-12 * max(1.0, abs(a), abs(b))
+        lo, hi = a + eps, b - eps
+        if hi > lo:
+            inside = clusters[(clusters > lo) & (clusters < hi)]
+            roots += _sweep_roots(f, np.unique(np.concatenate([np.linspace(lo, hi, 240), inside])), dips=False)
+    return sorted(roots)
+
+
+@pytest.mark.parametrize("om", [0.0, 0.1, -0.23])
+@pytest.mark.parametrize("sig_cap", [3.0, 25.0, 800.0])
+def test_theta_lines_batch_equals_one_line_calls(om, sig_cap):
+    """N lines at once give, bit for bit, the roots of N one-line calls and
+    of the per-line scan, so chunk boundaries cannot matter."""
+    n = 3 * spectrum._LINE_CHUNK + 5
+    taus, Oms = _random_lines(int(1000 * (om + 1.0) + sig_cap), n)
+    together = spectrum._solve_theta_lines(taus, Oms, om, sig_cap)
+    assert len(together) == n and sum(len(r) for r in together) > 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            got = [x.hex() for x in together[j].tolist()]
+            alone = spectrum._solve_theta_lines([taus[j]], [Oms[j]], om, sig_cap)[0]
+            assert got == [x.hex() for x in alone.tolist()]
+            assert got == [x.hex() for x in _one_line_reference(taus[j], Oms[j], om, sig_cap)]
+
+
+def test_locus_points_one_array_per_xi():
+    xis = [0.0, 0.3, 1.0 - 1e-9]
+    pts = spectrum._locus_points(xis, 2, -1, 1, ModelParams(Z=1.0, omega=0.1), 25.0)
+    assert len(pts) == len(xis)
+    for arr in pts:
+        assert arr.shape[1] == 4 and list(arr[:, 0]) == sorted(arr[:, 0])
+
+
+def test_lattice_tracer_memory_stays_bounded():
+    """The Theta-line scan runs in chunks: all lines of a k_max = 16 solve
+    at once held about 240 MB."""
+    tracemalloc.start()
+    try:
+        real_spectrum_lattice(ModelParams(Z=4.0, omega=-0.2), k_max=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
