@@ -36,6 +36,7 @@ from .spectrum import (
     real_spectrum_bracket,
     real_spectrum_lattice,
     _locus_points,
+    _sorted_distinct,
 )
 
 __all__ = ["main", "report_to_json", "report_from_json"]
@@ -283,7 +284,7 @@ def _chain_locus(k: int, p: int, q: int, args: argparse.Namespace) -> list[dict]
     """Order locus samples into polyline chains by continuity in sigma."""
     # solutions of some (p, q) families exist only as xi -> 1, where the
     # lattice line slope diverges; cluster samples there geometrically
-    xis = np.unique(
+    xis = _sorted_distinct(
         np.concatenate(
             [
                 np.linspace(0.0, 1.0 - 1e-6, max(args.points // 4, 40)),

@@ -18,8 +18,8 @@ Real levels come from three independent methods that must agree:
 Complex pairs come from argument-principle counting of the entire
 counting determinant over a window, with recursive subdivision on
 verified counts until each cell isolates one zero, followed by Newton
-refinement. Critical
-couplings are located by bisection on the real-level count.
+refinement. Each cell's new edges are sampled and refined in one batch.
+Critical couplings are located by bisection on the real-level count.
 
 Every real root search -- the bracketing sweep, the determinant scan
 and the lattice lines -- goes through the one kernel in ptwell.roots.
@@ -360,6 +360,13 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     return None
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique of a float array without NaN. np.unique itself imports
+    numpy.ma on first use, which costs a CLI process 12-20 ms."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
     """Locus samples on each lattice line (xi, k, p, q) of lines, all solved
     in one _solve_theta_lines call: per line an (n, 4) array whose rows are
@@ -407,7 +414,7 @@ def _trace_loci(
     # 1 - xi ~ Z^2 / tau^3, so the boundary cluster has to reach far deeper
     # than a uniform grid: 1e-12 covers every root the tau resolution of
     # float64 can distinguish from the boundary pole itself.
-    xis = np.unique(
+    xis = _sorted_distinct(
         np.concatenate([np.linspace(0.0, 1.0 - 1e-6, n_xi), 1.0 - np.geomspace(1e-12, 0.05, 22)])
     ).tolist()
     flat = _loci([(xi, *fam) for fam in families for xi in xis], params, sig_cap)
@@ -532,69 +539,121 @@ class _BoundaryHit(Exception):
     """A zero sits (numerically) on the cell boundary; jitter and retry."""
 
 
-def _edge_points(z0: complex, z1: complex, n: int) -> np.ndarray:
-    frac = np.linspace(0.0, 1.0, n)
-    return z0 + (z1 - z0) * frac
+_PROBE_FRACS = np.linspace(0.0, 1.0, 17)
 
 
-def _initial_edge_density(z0: complex, z1: complex, params: ModelParams) -> int:
-    """A-priori sample count from the phase-rate bound along the edge:
-    d(arg G)/dE is of order |z+|/(2|kp|) + |z-|/(2|km|)."""
-    probes = _edge_points(z0, z1, 17)
+def _edge_samples(
+    segments: list[tuple[complex, complex]], params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The a-priori samples of every segment (z0, z1), in one array, and
+    the index in segments of each sample's segment.
+
+    A segment gets the np.linspace(0, 1, n) points of its own n, taken
+    from the phase-rate bound d(arg G)/dE ~ |z+|/(2|kp|) + |z-|/(2|km|)
+    integrated over 17 probes per segment, all in one (k, 17) array."""
+    z0 = np.array([a for a, _ in segments], dtype=complex)
+    dz = np.array([b for _, b in segments], dtype=complex) - z0
+    probes = z0[:, None] + dz[:, None] * _PROBE_FRACS
     Z = params.Z
     aw = math.hypot(1.0, params.omega)
     kp = np.sqrt(-probes - 1j * Z)
     km = np.sqrt(-probes + 1j * Z)
     rate = 0.5 * aw * (1.0 / np.maximum(np.abs(kp), 0.3) + 1.0 / np.maximum(np.abs(km), 0.3))
-    x = np.abs(probes - z0)
-    total = float(np.sum(0.5 * (rate[:-1] + rate[1:]) * np.diff(x)))
-    n = int(math.ceil(total * 1.5 / (math.pi / 2.0))) + 8
-    return min(max(n, 48), 40000)
+    x = np.abs(probes - z0[:, None])
+    total = (0.5 * (rate[:, :-1] + rate[:, 1:]) * (x[:, 1:] - x[:, :-1])).sum(axis=1)
+    counts = [min(max(math.ceil(v * 1.5 / (math.pi / 2.0)) + 8, 48), 40000) for v in total.tolist()]
+    # np.linspace(0, 1, n) is arange(n) * (1 / (n - 1)) with its last point set to 1
+    frac = np.concatenate([np.arange(n) * (1.0 / (n - 1)) for n in counts])
+    frac[np.cumsum(counts) - 1] = 1.0
+    seg = np.repeat(np.arange(len(segments)), counts)
+    return z0[seg] + dz[seg] * frac, seg
 
 
-def _edge_phase_sum(z0: complex, z1: complex, params: ModelParams) -> float:
-    """Total change of arg(G) along the segment, refined until every step
-    is below pi/2. Each round bisects every offending step at once."""
-    n = _initial_edge_density(z0, z1, params)
-    pts = _edge_points(z0, z1, n)
+# A segment refined past this many samples is taken to run through a zero.
+_EDGE_MAX_POINTS = 400000
+
+
+def _edge_phase_sums(
+    segments: list[tuple[complex, complex]], params: ModelParams, edges: dict
+) -> None:
+    """Total change of arg(G) along each segment (z0, z1), refined until
+    every step is below pi/2, stored in edges[(z0, z1)].
+
+    All segments are sampled and evaluated in one counting_determinant
+    call, and refined in rounds: each round bisects every offending step
+    of every segment still open in one call. A segment's result does not
+    depend on the others it is batched with. A segment that cannot be
+    summed stores the exception its cell raises when it uses it:
+    _BoundaryHit for a zero on the segment, WindowError where G
+    overflows, SolverError where refinement runs away."""
+    pts, seg = _edge_samples(segments, params)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = counting_determinant(pts, params)
-    for _ in range(48):
-        if not np.all(np.isfinite(vals)):
-            raise WindowError(
-                f"the counting determinant overflows on the edge from {z0} to {z1}: "
-                f"windows must keep |kappa*(1+|omega|)| below ~700"
+        for _ in range(48):
+            count = np.bincount(seg, minlength=len(segments))
+            first = np.cumsum(count) - count
+            steps = np.diff(np.angle(vals))
+            steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
+            bad = np.nonzero((seg[1:] == seg[:-1]) & (np.abs(steps) >= math.pi / 2.0))[0]
+            mids = 0.5 * (pts[bad] + pts[bad + 1])
+            tiny = np.abs(mids - pts[bad]) < 1e-12 * np.maximum(1.0, np.abs(mids))
+            overflow, zero, rough, hit = (
+                np.bincount(ids, minlength=len(segments)) > 0
+                for ids in (seg[~np.isfinite(vals)], seg[vals == 0.0], seg[bad], seg[bad[tiny]])
             )
-        if not np.all(vals != 0.0):
-            raise _BoundaryHit
-        steps = np.diff(np.angle(vals))
-        steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-        bad = np.nonzero(np.abs(steps) >= math.pi / 2.0)[0]
-        if len(bad) == 0:
-            return float(np.sum(steps))
-        if len(pts) > 400000:
-            raise SolverError("edge phase refinement exploded; window likely touches a zero")
-        mids = 0.5 * (pts[bad] + pts[bad + 1])
-        if np.any(np.abs(mids - pts[bad]) < 1e-12 * np.maximum(1.0, np.abs(mids))):
-            raise _BoundaryHit
-        with np.errstate(over="ignore", invalid="ignore"):
-            mid_vals = counting_determinant(mids, params)
-        pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, mid_vals)
-    raise SolverError("edge phase did not stabilize")
+            for i in np.nonzero(count)[0]:
+                a, b = segments[i]
+                if overflow[i]:
+                    edges[(a, b)] = WindowError(
+                        f"the counting determinant overflows on the edge from {a} to {b}: "
+                        f"windows must keep |kappa*(1+|omega|)| below ~700"
+                    )
+                elif zero[i]:
+                    edges[(a, b)] = _BoundaryHit()
+                elif not rough[i]:
+                    edges[(a, b)] = float(steps[first[i]:first[i] + count[i] - 1].sum())
+                elif count[i] > _EDGE_MAX_POINTS:
+                    edges[(a, b)] = SolverError(
+                        f"edge phase refinement exploded on the edge from {a} to {b}; "
+                        "window likely touches a zero"
+                    )
+                elif hit[i]:
+                    edges[(a, b)] = _BoundaryHit()
+                else:
+                    continue
+                count[i] = 0
+            if not count.any():
+                return
+            # bisect the open segments' rough steps, drop the settled segments
+            open_ = count[seg[bad]] > 0
+            bad, mids = bad[open_], mids[open_]
+            keep = np.insert(count[seg] > 0, bad + 1, True)
+            pts = np.insert(pts, bad + 1, mids)[keep]
+            vals = np.insert(vals, bad + 1, counting_determinant(mids, params))[keep]
+            seg = np.insert(seg, bad + 1, seg[bad])[keep]
+    for i in np.nonzero(count)[0]:
+        a, b = segments[i]
+        edges[(a, b)] = SolverError(f"edge phase did not stabilize on the edge from {a} to {b}")
 
 
 def _winding_count(re0, re1, im0, im1, params: ModelParams, edges: dict) -> int:
     """Winding of G around the rectangle. edges maps each segment (a, b)
-    summed so far to its phase change: a neighbour that ran the segment
-    as (b, a) gives its negative, and each new segment is added."""
+    summed so far to its phase change, or to the exception that stopped
+    its sum. A neighbour's phase for (b, a) gives the negative; every
+    other side (at most four) goes to _edge_phase_sums in one batch. The
+    first side, in order, that could not be summed raises its exception."""
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    new = [(a, b) for a, b in sides if not isinstance(edges.get((b, a)), float)]
+    if new:
+        _edge_phase_sums(new, params, edges)
     total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        if (b, a) in edges:
+    for a, b in sides:
+        if (a, b) not in new:
             total -= edges[(b, a)]
+        elif isinstance(edges[(a, b)], Exception):
+            raise edges.pop((a, b))  # once raised, its traceback holds this frame and edges
         else:
-            edges[(a, b)] = _edge_phase_sum(a, b, params)
             total += edges[(a, b)]
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.05:
@@ -666,8 +725,7 @@ def _counted_cell(re0, re1, im0, im1, params: ModelParams, edges: dict) -> _Cell
 def _real_axis_sign_change(re0: float, re1: float, params: ModelParams) -> bool:
     """Whether Re G changes sign on [re0, re1] of the real axis, sampled
     at the edge density. G is real there, so a sign change proves a zero."""
-    z0, z1 = complex(re0, 0.0), complex(re1, 0.0)
-    pts = _edge_points(z0, z1, _initial_edge_density(z0, z1, params))
+    pts, _ = _edge_samples([(complex(re0, 0.0), complex(re1, 0.0))], params)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = counting_determinant(pts, params).real
         return bool(np.any(vals[:-1] * vals[1:] < 0.0))
@@ -681,10 +739,11 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
     the first fraction, in _SPLIT_FRACS order from the depth, whose
     children's windings add up to w; all four children are counted before
     any of them is solved, and the four children of one split sum each
-    interior segment once. A split line through a zero pads the children
-    over it, so both count it, and the sum exceeds w. So a split whose
-    line is the real axis, where the real levels sit, is skipped without
-    counting when Re G changes sign along it.
+    interior segment once; each child's segments not summed yet are
+    sampled in one batch (see _edge_phase_sums). A split line through a
+    zero pads the children over it, so both count it, and the sum exceeds
+    w. So a split whose line is the real axis, where the real levels sit,
+    is skipped without counting when Re G changes sign along it.
     """
     re0, re1, im0, im1, w, scale = cell
     if w == 0:
@@ -756,7 +815,8 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
     split fractions tried adds up, CountMismatchError names the cell. A
     split along the real axis is skipped without counting when G changes
     sign on it, since both halves would count that real level; the four
-    children of a split integrate each shared interior edge once.
+    children of a split integrate each shared interior edge once, and the
+    new edges of each cell are sampled and refined in one batch.
 
     Roots with |Im E| < 1e-8 are classified real and reported as bound
     states; the rest must come in conjugate pairs (hard error otherwise),

@@ -233,3 +233,36 @@ def test_complex_without_crossover_still_reports_roots(capsys):
     assert main(["complex", "--Z", "5", "--omega", "0.5", "--window", "0,100,-10,10"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["real_levels"] and "sigma_star" not in payload["diagnostics"]
+
+
+# runs one CLI command in a fresh interpreter and prints its exit code and
+# whether numpy.ma got imported
+_MA_PROBE = (
+    "import contextlib, io, sys\n"
+    "from ptwell.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = main(sys.argv[1:])\n"
+    "print(rc, 'numpy.ma' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curves", "--Z", "1", "--omega", "0.1", "--family", "oval"],
+        ["curves", "--Z", "1", "--omega", "0.1", "--family", "intersection"],
+        ["spectrum", "--Z", "1", "--omega", "0.1", "--method", "lattice", "--kmax", "3"],
+    ],
+)
+def test_locus_commands_do_not_import_numpy_ma(argv):
+    """np.unique imports numpy.ma on first use, 12-20 ms per process."""
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    if bare.stdout.split() == ["True"]:
+        pytest.skip("import numpy alone loads numpy.ma here")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0", "False"]

@@ -317,15 +317,16 @@ def test_complex_spectrum_acceptance_window_defects(Z, om, window):
 
 @pytest.fixture
 def edge_segments(monkeypatch):
-    """The (z0, z1) of every edge phase sum computed while the test runs."""
+    """The (z0, z1) of every segment of every _edge_phase_sums call made
+    while the test runs."""
     segments = []
-    edge_phase_sum = spectrum._edge_phase_sum
+    edge_phase_sums = spectrum._edge_phase_sums
 
-    def recording(z0, z1, params):
-        segments.append((z0, z1))
-        return edge_phase_sum(z0, z1, params)
+    def recording(batch, params, edges):
+        segments.extend(batch)
+        return edge_phase_sums(batch, params, edges)
 
-    monkeypatch.setattr(spectrum, "_edge_phase_sum", recording)
+    monkeypatch.setattr(spectrum, "_edge_phase_sums", recording)
     return segments
 
 
@@ -351,6 +352,83 @@ def test_one_split_sums_each_interior_edge_once(edge_segments):
     assert len(edge_segments) == len(set(edge_segments)) == len(edges) == 12
 
 
+def _sides(re0, re1, im0, im1):
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    return list(zip(corners, corners[1:] + corners[:1]))
+
+
+def _outcome(value):
+    return value if isinstance(value, float) else (type(value), str(value))
+
+
+def test_batched_edge_sums_equal_one_segment_sums():
+    """A segment's phase sum, or the exception stored for it, does not
+    depend on the segments it is batched with; so neither do windings nor
+    which cells hit a boundary zero."""
+    rng = np.random.default_rng(2026)
+    hits = 0
+    for _ in range(200):
+        params = ModelParams(Z=float(rng.uniform(0.2, 3.0)), omega=float(rng.uniform(-0.3, 0.3)))
+        re0 = float(rng.uniform(-20.0, 3000.0))
+        re1 = re0 + float(rng.uniform(1.0, 600.0))
+        im1 = float(rng.uniform(1.0, 200.0))
+        # half the rectangles stand on the real axis, where real levels hit
+        im0 = 0.0 if rng.random() < 0.5 else -float(rng.uniform(0.5, 1.0)) * im1
+        sides = _sides(re0, re1, im0, im1)
+        batched, single = {}, {}
+        # in a shuffled order neighbours in the batch need not share a corner
+        spectrum._edge_phase_sums([sides[j] for j in rng.permutation(4)], params, batched)
+        for side in sides:
+            spectrum._edge_phase_sums([side], params, single)
+        assert {k: _outcome(v) for k, v in batched.items()} == {k: _outcome(v) for k, v in single.items()}
+        try:
+            w = spectrum._winding_count(re0, re1, im0, im1, params, {})
+        except spectrum._BoundaryHit:
+            w = "hit"
+        failed = [v for v in (single[side] for side in sides) if not isinstance(v, float)]
+        if failed:
+            assert isinstance(failed[0], spectrum._BoundaryHit) and w == "hit"
+            hits += 1
+        else:
+            assert w == round(sum(single[side] for side in sides) / (2.0 * PI))
+    assert hits > 10
+
+
+def test_cell_with_a_side_on_a_real_level_pads_as_pinned():
+    # the left side runs through the real level E = 22.010611646223005 at
+    # (1, 0.1); the _Cell was captured with repr before the edge sums were
+    # batched
+    e = 22.010611646223005
+    cell = spectrum._counted_cell(e, e + 60.0, -20.0, 20.0, ModelParams(Z=1.0, omega=0.1), {})
+    assert cell == spectrum._Cell(
+        re0=22.01060344516184, re1=82.01061984728416, im0=-20.000008201061164,
+        im1=20.000008201061164, w=3, scale=82.010611646223,
+    )
+
+
+def test_runaway_edge_refinement_names_its_edge(monkeypatch):
+    # the bottom side runs along the real axis through real levels, so its
+    # first round has steps to refine, on more samples than the lowered cap
+    monkeypatch.setattr(spectrum, "_EDGE_MAX_POINTS", 10)
+    with pytest.raises(SolverError) as err:
+        spectrum._counted_cell(0.0, 30.0, 0.0, 10.0, ModelParams(Z=1.0, omega=0.1), {})
+    assert str(err.value) == (
+        "edge phase refinement exploded on the edge from 0j to (30+0j); window likely touches a zero"
+    )
+
+
+def test_complex_spectrum_memory_stays_small():
+    """Each cell's new edges are sampled in one batch, so a solve holds
+    only a few cells' samples at a time."""
+    tracemalloc.start()
+    try:
+        complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 2000.0, -200.0, 200.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
 def test_count_mismatch_names_the_skipped_split(monkeypatch):
     monkeypatch.setattr(spectrum, "_SPLIT_FRACS", (0.5,))
     with pytest.raises(CountMismatchError) as err:
@@ -359,9 +437,14 @@ def test_count_mismatch_names_the_skipped_split(monkeypatch):
 
 
 def test_complex_spectrum_overflow_is_a_window_error():
-    # cosh overflows at E = -1e6, where |kappa*(1+|omega|)| is about 1100
-    with pytest.raises(WindowError, match="overflows on the edge from .* below ~700"):
+    # cosh overflows at E = -1e6, where |kappa*(1+|omega|)| is about 1100;
+    # the error names the first side of the window, in order, that overflows
+    with pytest.raises(WindowError) as err:
         complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(-1e6, 0.0, -40.0, 40.0))
+    assert str(err.value) == (
+        "the counting determinant overflows on the edge from (-1000000-40j) to -40j: "
+        "windows must keep |kappa*(1+|omega|)| below ~700"
+    )
 
 
 def test_complex_spectrum_leaves_out_sigma_star_without_crossover():
