@@ -90,17 +90,10 @@ def _emit_json(payload: dict) -> str:
 # report serialization
 
 def _report_payload(report: SpectrumReport) -> dict:
-    levels = []
-    for i, st in enumerate(report.real_levels):
-        levels.append(
-            {
-                "n": i,
-                "s": st.wave.s if st.wave is not None else None,
-                "t": st.wave.t if st.wave is not None else None,
-                "E": st.energy,
-                "A": st.A,
-            }
-        )
+    levels = [
+        {"n": i, "s": st.wave.s, "t": st.wave.t, "E": st.energy, "A": st.A}
+        for i, st in enumerate(report.real_levels)
+    ]
     pairs = [{"re": e.real, "im": e.imag} for e in report.complex_pairs]
     win = None
     if report.window is not None:
@@ -131,15 +124,12 @@ def report_from_json(text: str) -> SpectrumReport:
     params = ModelParams(Z=float(doc["params"]["Z"]), omega=float(doc["params"]["omega"]))
     levels = []
     for item in doc["real_levels"]:
-        wave = None
-        if item.get("s") is not None:
-            wave = WaveVector(float(item["s"]), float(item["t"]))
         levels.append(
             BoundState(
                 kind="real",
                 energy=float(item["E"]),
                 params=params,
-                wave=wave,
+                wave=WaveVector(float(item["s"]), float(item["t"])),
                 A=None if item.get("A") is None else float(item["A"]),
             )
         )
@@ -425,8 +415,10 @@ def _sweep_payload(args: argparse.Namespace) -> dict:
         for z in args.z_values
         for om in args.omega_values
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method launches all max_workers at the first submit
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_sweep_task, tasks))
     else:
         runs = [_sweep_task(t) for t in tasks]

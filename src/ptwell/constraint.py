@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SolverError
 from .matching import ThetaCurveSpec, _theta_of_sinh, theta_curve
 from .model import ModelParams, RotatedPoint, omega_factor
-from .roots import _bisect_scalar
+from .roots import _bisect_scalar, _sign_changes
 
 __all__ = [
     "quadratic_residual",
@@ -177,14 +177,14 @@ def sigma_star(params: ModelParams) -> float:
     vals = np.abs(theta + grid / aw) - 0.5 * np.abs(_xi_of(grid, aw, _x_squared(work)) + grid / aw)
     # rightmost sign change: envelope deviation explodes toward sigma = 0-,
     # decays exponentially toward -inf
-    left, right = vals[:-1], vals[1:]
-    hits = np.nonzero((left == 0.0) | (left * right < 0.0))[0]
+    pairs, zero = _sign_changes(vals)
+    hits = np.nonzero(pairs | zero[:-1])[0]
     if len(hits) == 0:
         raise SolverError(
             f"no envelope/hyperbola crossover in [-50, -2] for Z={params.Z}, omega={om}"
         )
     i = int(hits[-1])
     a = float(grid[i])
-    b = a if left[i] == 0.0 else float(grid[i + 1])
+    b = a if zero[i] else float(grid[i + 1])
     star = _bisect_scalar(gap, a, b, gap(a), rtol=1e-12)
     return star if om > 0.0 else -star

@@ -281,17 +281,10 @@ _CONTOUR_TOL = 1e-9
 
 
 def state_kappas(state: BoundState) -> tuple[complex, complex]:
-    """(km, kp) for a state: the wave numbers of the left and right branches.
-
-    States with a wave vector use km = s + i*t = conj(kp); states without
-    one use the principal square roots of -E +- iZ.
-    """
-    if state.wave is not None:
-        kp = kappa_from_st(state.wave)
-        return kp.conjugate(), kp
-    E = complex(state.energy)
-    Z = state.params.Z
-    return cmath.sqrt(-E + 1j * Z), cmath.sqrt(-E - 1j * Z)
+    """(km, kp) for a state: the wave numbers of the left and right
+    branches, km = s + i*t = conj(kp) from its wave vector."""
+    kp = kappa_from_st(state.wave)
+    return kp.conjugate(), kp
 
 
 def wavefunction_eval(state: BoundState, x: complex) -> complex:

@@ -107,7 +107,7 @@ class BoundState:
     kind: str  # always "real"
     energy: float
     params: ModelParams
-    wave: WaveVector | None = None
+    wave: WaveVector
     A: float | None = None
     R_minus: complex | None = None
     R_plus: complex | None = None

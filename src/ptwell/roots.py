@@ -1,11 +1,13 @@
 """The bracketed-root kernel behind every real root search.
 
 Each caller passes one function f that takes a float or a numpy array,
-and a 1-D grid fine enough to resolve every oscillation of f. A single
-grid holds few brackets, so _sweep_roots bisects them one by one with
-_bisect_scalar; a caller holding the brackets of many grids at once (the
-lattice tracer's Theta lines) refines them together with _bisect_batch,
-which takes the same steps lane by lane.
+and a 1-D grid fine enough to resolve every oscillation of f. An
+adaptive grid is built by _march from the caller's step rule, bounded by
+_MAX_GRID_POINTS; _sign_changes finds the brackets on sampled values. A
+single grid holds few brackets, so _sweep_roots bisects them one by one
+with _bisect_scalar; a caller holding the brackets of many grids at once
+(the lattice tracer's Theta lines) refines them together with
+_bisect_batch, which takes the same steps lane by lane.
 """
 
 from __future__ import annotations
@@ -14,7 +16,41 @@ import math
 
 import numpy as np
 
+from .errors import WindowError
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# A sweep grid past this many points is taken to have stalled or to span
+# a range too wide to sweep: 4x the largest grid the tests build, the
+# determinant scan at e_max = 1e6 with 500,009 points.
+_MAX_GRID_POINTS = 2_000_000
+
+
+def _march(lo: float, hi: float, step) -> np.ndarray:
+    """The grid x[0] = lo, x[i+1] = min(x[i] + step(x[i]), hi), ending at
+    the first point not below hi.
+
+    Raises WindowError, naming the range and the point reached, when the
+    grid would pass _MAX_GRID_POINTS points."""
+    pts = [lo]
+    x = lo
+    while x < hi:
+        if len(pts) == _MAX_GRID_POINTS:
+            raise WindowError(
+                f"sweep grid on [{lo}, {hi}] passed {_MAX_GRID_POINTS} points at {x}: "
+                "the range is too wide or the step too small to resolve"
+            )
+        x = min(x + step(x), hi)
+        pts.append(x)
+    return np.asarray(pts)
+
+
+def _sign_changes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, zero) for sampled values: pairs[i] when vals[i] and
+    vals[i+1] are finite with opposite signs, zero[i] when vals[i] == 0."""
+    finite = np.isfinite(vals)
+    sign = np.sign(vals)
+    return finite[:-1] & finite[1:] & (sign[:-1] * sign[1:] < 0.0), vals == 0.0
 
 
 def _bisect_scalar(f, a: float, b: float, fa: float, rtol: float = 1e-15) -> float:
@@ -87,16 +123,17 @@ def _sweep_roots(f, grid: np.ndarray, dips: bool = True) -> list[float]:
     merged pair whose two roots are then bisected."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(f(grid), dtype=float)
-    finite = np.isfinite(vals)
-    sign = np.sign(vals)
-    roots: list[float] = []
-    ok = finite[:-1] & finite[1:]
-    for i in np.nonzero(ok & (sign[:-1] * sign[1:] < 0.0))[0]:
-        roots.append(_bisect_scalar(f, float(grid[i]), float(grid[i + 1]), float(vals[i])))
-    roots.extend(float(x) for x in grid[finite & (vals == 0.0)])
+    pairs, zero = _sign_changes(vals)
+    roots = [
+        _bisect_scalar(f, float(grid[i]), float(grid[i + 1]), float(vals[i]))
+        for i in np.nonzero(pairs)[0]
+    ]
+    roots.extend(float(x) for x in grid[zero])
     n = len(grid)
     if not dips or n < 2:
         return sorted(roots)
+    finite = np.isfinite(vals)
+    sign = np.sign(vals)
     # neighbours reflected at the ends: the outer neighbour of an end
     # sample is its inner one, so the interior test covers the end cells
     idx = np.arange(n)

@@ -22,7 +22,10 @@ refinement. Each cell's new edges are sampled and refined in one batch.
 Critical couplings are located by bisection on the real-level count.
 
 Every real root search -- the bracketing sweep, the determinant scan
-and the lattice lines -- goes through the one kernel in ptwell.roots.
+and the lattice lines -- goes through the one kernel in ptwell.roots: the
+two sweeps build their grids with roots._march from their own step rules,
+and every scan finds its brackets with roots._sign_changes. The methods'
+levels are deduplicated in energy order by _dedup_states.
 
 All energies are double precision; windows must keep |kappa*(1+|omega|)|
 below ~700 so cosh stays finite.
@@ -62,7 +65,7 @@ from .model import (
     lattice_compose,
     omega_factor,
 )
-from .roots import _bisect_batch, _sweep_roots
+from .roots import _bisect_batch, _march, _sign_changes, _sweep_roots
 
 __all__ = [
     "EnergyWindow",
@@ -169,25 +172,6 @@ def _s_of_energy(energy: float, Z: float) -> float:
     return abs(Z) / math.sqrt(2.0 * (math.hypot(energy, Z) + energy))
 
 
-def _bracket_grid(params: ModelParams, s_lo: float, s_max: float) -> np.ndarray:
-    """Adaptive grid on [s_lo, s_max]: the rotated phase advances at most
-    pi/4 and sigma at most 1/4 per step, so no oscillation is skipped."""
-    Z, om = params.Z, params.omega
-    pts = [s_lo]
-    s = s_lo
-    while s < s_max:
-        dtau_ds = abs(2.0 * om - Z / (s * s))
-        dsig_ds = abs(2.0 + om * Z / (s * s))
-        step = min(
-            0.25,
-            (math.pi / 4.0) / max(dtau_ds, 1e-9),
-            0.25 / max(dsig_ds, 1e-9),
-        )
-        s = min(s + step, s_max)
-        pts.append(s)
-    return np.asarray(pts)
-
-
 def real_spectrum_bracket(
     params: ModelParams, s_max: float = 12.0, e_max: float = 2000.0
 ) -> list[BoundState]:
@@ -204,7 +188,20 @@ def real_spectrum_bracket(
     s_lo = _s_of_energy(e_max, Z)
     if s_lo >= s_max:
         return []
-    grid = _bracket_grid(params, s_lo, s_max)
+    if s_lo * s_lo == 0.0:
+        raise WindowError(
+            f"Z={Z} is too small for e_max={e_max}: s(e_max)^2 underflows to 0, "
+            "so the bracket sweep cannot step along t = Z/(2s)"
+        )
+
+    def step(s):
+        # the rotated phase advances at most pi/4 and sigma at most 1/4 per
+        # step, so no oscillation is skipped
+        dtau_ds = abs(2.0 * om - Z / (s * s))
+        dsig_ds = abs(2.0 + om * Z / (s * s))
+        return min(0.25, (math.pi / 4.0) / max(dtau_ds, 1e-9), 0.25 / max(dsig_ds, 1e-9))
+
+    grid = _march(s_lo, s_max, step)
     log.info(
         "bracket sweep: %d grid points, s in [%.3g, %.3g], t in [%.3g, %.3g]",
         len(grid), s_lo, s_max, Z / (2.0 * s_max), Z / (2.0 * s_lo),
@@ -218,15 +215,17 @@ def real_spectrum_bracket(
         t_root = Z / (2.0 * s_root)
         if t_root * t_root - s_root * s_root <= e_max:
             states.append(_make_state(s_root, t_root, params))
-    states.sort(key=lambda st: st.energy)
     return _dedup_states(states)
 
 
 def _dedup_states(states: list[BoundState]) -> list[BoundState]:
+    """The states sorted by energy, each dropped that lies within
+    1e-7*max(1, |E|) of one kept below it: on sorted energies the last one
+    kept is the closest."""
     out: list[BoundState] = []
-    for st in states:
+    for st in sorted(states, key=lambda st: st.energy):
         e = st.energy
-        if all(abs(e - o.energy) > 1e-7 * max(1.0, abs(e)) for o in out):
+        if not out or abs(e - out[-1].energy) > 1e-7 * max(1.0, abs(e)):
             out.append(st)
     return out
 
@@ -300,13 +299,10 @@ def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.nda
             pt_line = np.repeat(line, counts)
             vals = _theta_of_sinh(x, np.sinh(x), Om[pt_line], om)
             vals -= tau[pt_line]
-            finite = np.isfinite(vals)
-            sign = np.sign(vals)
-            pairs = finite[:-1] & finite[1:] & (sign[:-1] * sign[1:] < 0.0)
+            pairs, zero = _sign_changes(vals)
             pairs[np.cumsum(counts)[:-1] - 1] = False  # no bracket across segments
             cross = np.nonzero(pairs)[0]
             brackets.append((x[cross], x[cross + 1], vals[cross], pt_line[cross]))
-            zero = finite & (vals == 0.0)
             zeros.append((x[zero], pt_line[zero]))
         a, b, fa, lane_line = (np.concatenate(parts) for parts in zip(*brackets))
 
@@ -498,7 +494,6 @@ def real_spectrum_lattice(
             "lattice intersections failed to converge: "
             + ", ".join(f"(s={s:.6g}, t={t:.6g}, res={r:.2g}, 2st-Z={c:.2g})" for s, t, r, c in failures)
         )
-    states.sort(key=lambda st: float(st.energy))
     return _dedup_states(states)
 
 
@@ -517,14 +512,13 @@ def determinant_real_roots(
     if e_min is None:
         e_min = -params.Z - 1.0
     Z, om = params.Z, params.omega
-    pts = [e_min]
-    e = e_min
-    while e < e_max:
+
+    def step(e):
         t_here = math.sqrt((math.hypot(e, Z) + e) / 2.0)
         rate = (1.0 + abs(om)) / max(t_here, 0.7)
-        e = min(e + min(2.0, (math.pi / 4.0) / rate), e_max)
-        pts.append(e)
-    grid = np.asarray(pts)
+        return min(2.0, (math.pi / 4.0) / rate)
+
+    grid = _march(e_min, e_max, step)
 
     def f(e):
         return np.real(matching_determinant(e, params))
@@ -871,7 +865,6 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
     if unmatched:
         raise SolverError(f"unpaired lower-half roots remain: {unmatched}")
 
-    real_states.sort(key=lambda st: float(st.energy))
     real_states = _dedup_states(real_states)
     uppers.sort(key=lambda e: (e.real, e.imag))
     if len(real_states) + 2 * len(uppers) != w_total:

@@ -266,3 +266,63 @@ def test_locus_commands_do_not_import_numpy_ma(argv):
         [sys.executable, "-c", _MA_PROBE, *argv], capture_output=True, text=True, check=True
     )
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["count", "--Z", "1", "--omega", "0.1", "--emax", "1e300"], "[5e-151, 12.0]"),
+        (["spectrum", "--Z", "1", "--omega", "1e300"], "[0.011180339538113364, 12.0]"),
+        (
+            ["spectrum", "--Z", "1", "--omega", "0.1", "--smax", "1e300"],
+            "[0.011180339538113364, 1e+300]",
+        ),
+    ],
+)
+def test_unbounded_sweep_exits_3(monkeypatch, capsys, argv, where):
+    # the real bound of 2,000,000 points takes seconds to reach
+    monkeypatch.setattr("ptwell.roots._MAX_GRID_POINTS", 10_000)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error: sweep grid on {where} passed 10000 points at " in err
+
+
+def test_vanishing_coupling_exits_3(capsys):
+    assert main(["count", "--Z", "1e-300", "--omega", "0.1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: Z=1e-300 is too small for e_max=2000.0: s(e_max)^2 underflows to 0, "
+        "so the bracket sweep cannot step along t = Z/(2s)\n"
+    )
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and runs
+    its tasks in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_pool_is_capped_at_the_task_count(monkeypatch, capsys):
+    base = ["sweep", "--Z", "0.5,1", "--omega", "0.1", "--emax", "100"]
+    assert main([*base, "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr("ptwell.cli.concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.max_workers.clear()
+    assert main([*base, "--jobs", "64"]) == 0
+    assert _RecordingPool.max_workers == [2]
+    assert capsys.readouterr().out == serial
+    # one task runs in this process: no pool at all
+    assert main(["sweep", "--Z", "1", "--omega", "0.1", "--emax", "100", "--jobs", "64"]) == 0
+    assert _RecordingPool.max_workers == [2]

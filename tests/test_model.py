@@ -127,6 +127,11 @@ def test_bound_state_carries_its_parameters():
     assert st.params.omega == 0.1 and st.kind == "real"
 
 
+def test_bound_state_requires_its_wave_vector():
+    with pytest.raises(TypeError, match="wave"):
+        BoundState(kind="real", energy=2.5, params=ModelParams(Z=1.0, omega=0.1))
+
+
 def test_property_st_roundtrip():
     assert P.check_st_roundtrip() == 300
 

@@ -537,6 +537,16 @@ def test_complex_spectrum_pairs_pinned():
 # ptwell.roots, which must not move a bit
 
 
+def test_count_real_at_a_tiny_coupling():
+    # s(e_max)^2 is about 1e-304 here, still above the underflow to 0
+    assert count_real(ModelParams(1e-150, 0.1), 2000.0) == 28
+
+
+def test_vanishing_coupling_is_a_window_error():
+    with pytest.raises(WindowError, match=r"Z=1e-300 is too small for e_max=2000.0"):
+        real_spectrum_bracket(ModelParams(1e-300, 0.1), e_max=2000.0)
+
+
 def test_count_real_finds_a_merged_pair_in_the_first_grid_cell():
     # the pair sits in the bracket grid's first cell, which starts at
     # s(e_max) and holds no sign change
