@@ -9,6 +9,13 @@ from |x| >= 1e6 on).
 Exit codes: 0 success, 2 invalid flags or configuration, 3 solver
 failure, 4 i/o failure. The PTWELL_LOG environment variable (error, info,
 debug) sets diagnostic verbosity on stderr.
+
+Started as `ptwell` or `python -m ptwell`, the CLI runs BLAS on one
+thread unless OPENBLAS_NUM_THREADS is set: the entry point in
+`ptwell.__main__` sets it to 1 before numpy loads, since no code here
+calls BLAS and an idle OpenBLAS worker thread spin-waits. `sweep --jobs`
+workers inherit the setting. Calling `main` from other code leaves the
+variable alone.
 """
 
 from __future__ import annotations
