@@ -55,56 +55,7 @@ _SUBMODULE = {
     ),
 }
 
-__all__ = [
-    "__version__",
-    "ModelParams",
-    "WaveVector",
-    "RotatedPoint",
-    "LatticeIndex",
-    "BoundState",
-    "kappa_from_st",
-    "energy_from_st",
-    "sigma_tau_from_st",
-    "st_from_sigma_tau",
-    "energy_from_sigma_tau",
-    "lattice_compose",
-    "lattice_decompose",
-    "omega_factor",
-    "ThetaCurveSpec",
-    "residual_real",
-    "residual_rotated",
-    "theta_curve",
-    "theta_asymptote",
-    "envelope_asymptote",
-    "matching_determinant",
-    "counting_determinant",
-    "amplitude_A",
-    "wavefunction_eval",
-    "quadratic_residual",
-    "xi_branch",
-    "upsilon_branch",
-    "reflected_branch",
-    "hyperbola_asymptote",
-    "sigma_star",
-    "EnergyWindow",
-    "SpectrumReport",
-    "hermitian_spectrum",
-    "real_spectrum_bracket",
-    "real_spectrum_lattice",
-    "determinant_real_roots",
-    "complex_spectrum",
-    "count_real",
-    "critical_couplings",
-    "PTWellError",
-    "QuadrantError",
-    "PoleError",
-    "AsymptoteError",
-    "NodeAtMatchingPointError",
-    "OffContourError",
-    "WindowError",
-    "SolverError",
-    "CountMismatchError",
-]
+__all__ = ["__version__", *_SUBMODULE]
 
 
 def __getattr__(name: str):

@@ -43,7 +43,8 @@ from .spectrum import (
     real_spectrum_bracket,
     real_spectrum_lattice,
     _locus_points,
-    _sorted_distinct,
+    _require_symmetric,
+    _xi_grid,
 )
 
 __all__ = ["main", "report_to_json", "report_from_json"]
@@ -236,13 +237,8 @@ def _resolve(args: argparse.Namespace) -> None:
         raise ValueError("comma lists for --Z/--omega are only valid with the sweep command")
     args.params = ModelParams(Z=args.z_values[0], omega=args.omega_values[0])
     if args.command == "complex":
-        args.window = window = _parse_window(args.window)
-        span = max(abs(window.im_min), abs(window.im_max), 1.0)
-        if abs(window.im_min + window.im_max) > 1e-9 * span:
-            raise ValueError(
-                f"window must be symmetric about the real axis, got imaginary range "
-                f"[{window.im_min}, {window.im_max}]"
-            )
+        args.window = _parse_window(args.window)
+        _require_symmetric(args.window)
     if args.command == "curves":
         args.xi = _parse_float_list(args.xi)
 
@@ -281,14 +277,7 @@ def _chain_locus(k: int, p: int, q: int, args: argparse.Namespace) -> list[dict]
     """Order locus samples into polyline chains by continuity in sigma."""
     # solutions of some (p, q) families exist only as xi -> 1, where the
     # lattice line slope diverges; cluster samples there geometrically
-    xis = _sorted_distinct(
-        np.concatenate(
-            [
-                np.linspace(0.0, 1.0 - 1e-6, max(args.points // 4, 40)),
-                1.0 - np.geomspace(1e-6, 0.05, 12),
-            ]
-        )
-    ).tolist()
+    xis = _xi_grid(max(args.points // 4, 40), 1e-6, 12)
     chains: list[list[tuple[float, float]]] = []
     tails: list[float] = []
     for xi, pts in zip(xis, _locus_points(xis, k, p, q, args.params, args.sigma_max)):
@@ -489,17 +478,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--output", type=str, default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--emax", type=float, default=2000.0, help="energy cap")
+    solver.add_argument("--smax", type=float, default=12.0, help="sweep range cap")
+    solver.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
+    solver.add_argument("--kmax", type=int, default=8, help="stripe cap for the lattice method")
+
     parser = argparse.ArgumentParser(
         prog="ptwell",
         description="Spectral solver for the complex-shifted square well.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", parents=[common], help="real levels up to an energy cap")
-    p_spec.add_argument("--emax", type=float, default=2000.0, help="energy cap")
-    p_spec.add_argument("--smax", type=float, default=12.0, help="sweep range cap")
-    p_spec.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
-    p_spec.add_argument("--kmax", type=int, default=8, help="stripe cap for the lattice method")
+    sub.add_parser("spectrum", parents=[common, solver], help="real levels up to an energy cap")
 
     p_count = sub.add_parser("count", parents=[common], help="number of real levels up to emax")
     p_count.add_argument("--emax", type=float, default=2000.0)
@@ -525,11 +516,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_curves.add_argument("--sigma-max", dest="sigma_max", type=float, default=12.0)
     p_curves.add_argument("--points", type=int, default=600)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="spectrum over a parameter grid")
-    p_sweep.add_argument("--emax", type=float, default=2000.0)
-    p_sweep.add_argument("--smax", type=float, default=12.0)
-    p_sweep.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
-    p_sweep.add_argument("--kmax", type=int, default=8)
+    p_sweep = sub.add_parser("sweep", parents=[common, solver], help="spectrum over a parameter grid")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser, sub.choices
 

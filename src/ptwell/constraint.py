@@ -1,10 +1,12 @@
 """The coupling constraint 2st = Z in rotated coordinates.
 
 In the (sigma, tau) plane the constraint is a rotated hyperbola. For
-omega > 0 the physical branch is tau = Xi(sigma); for omega < 0 the
-mirror construction swaps the roles and produces sigma = Upsilon(tau)
-together with its reflected companion Sigma(tau) = -Upsilon(tau), which
-lets all omega < 0 work reuse the omega > 0 curve pictures.
+omega > 0 the physical branch is tau = Xi(sigma; omega); for omega < 0
+the mirror construction swaps the roles and produces sigma = Upsilon(tau),
+which is Xi evaluated at |omega|: Upsilon(tau) = Xi(tau; |omega|). Its
+reflected companion is Sigma(tau) = -Upsilon(tau), which lets all
+omega < 0 work reuse the omega > 0 curve pictures. All three branches
+are the one root formula _xi_of.
 
 sigma_star quantifies where the hyperbola escapes the envelope tube of
 the matching loci: beyond it the two curves can no longer intersect, so
@@ -82,17 +84,17 @@ def upsilon_branch(tau: float, params: ModelParams) -> float:
     """Physical branch for omega < 0, solved for sigma (kept positive there):
 
         Upsilon(tau) = (1/omega - omega)*tau/2 + sqrt((omega + 1/omega)^2 tau^2 + 4Y^2)/2
+
+    which is Xi(tau) at |omega|, with Y^2 = X^2.
     """
     om = params.omega
     if om >= 0.0:
         raise ValueError(f"upsilon_branch requires omega < 0, got {om}")
     if params.Z <= 0.0:
         raise ValueError(f"upsilon_branch requires Z > 0, got {params.Z}")
-    y2 = _x_squared(params)
-    a = om + 1.0 / om
-    # signed omega here: the linear coefficient is cot(2 phi), which is
-    # negative-omega-odd; |omega| would flip the branch off the quadratic
-    return 0.5 * (1.0 / om - om) * tau + 0.5 * math.sqrt(a * a * tau * tau + 4.0 * y2)
+    # 1/omega - omega = |omega| - 1/|omega| and (omega + 1/omega)^2 is even
+    # in omega, so the root at the signed omega is Xi's root at |omega| = -om
+    return float(_xi_of(tau, -om, _x_squared(params)))
 
 
 def reflected_branch(tau: float, params: ModelParams) -> float:
@@ -100,18 +102,15 @@ def reflected_branch(tau: float, params: ModelParams) -> float:
 
         Sigma(tau) = (1/w - w)*tau/2 - sqrt((w + 1/w)^2 tau^2 + 4Y^2)/2,  w = |omega|
 
-    the sigma < 0 sheet that lets the omega < 0 spectrum be read off the
-    unreflected curve pictures.
+    that is -Upsilon(tau): the sigma < 0 sheet that lets the omega < 0
+    spectrum be read off the unreflected curve pictures.
     """
     om = params.omega
     if om >= 0.0:
         raise ValueError(f"reflected_branch requires omega < 0, got {om}")
     if params.Z <= 0.0:
         raise ValueError(f"reflected_branch requires Z > 0, got {params.Z}")
-    y2 = _x_squared(params)
-    aw = abs(om)
-    a = aw + 1.0 / aw
-    return 0.5 * (1.0 / aw - aw) * tau - 0.5 * math.sqrt(a * a * tau * tau + 4.0 * y2)
+    return -float(_xi_of(tau, -om, _x_squared(params)))
 
 
 def hyperbola_asymptote(sigma: float, params: ModelParams) -> float:

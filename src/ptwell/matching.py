@@ -37,6 +37,7 @@ from .model import (
     ModelParams,
     RotatedPoint,
     WaveVector,
+    _sigma_tau_from_st_raw,
     kappa_from_st,
     omega_factor,
 )
@@ -78,8 +79,7 @@ class ThetaCurveSpec:
 
 def _residual_real_st(s, t, omega):
     """Vectorized core of residual_real on raw floats/arrays."""
-    sigma = 2.0 * (s - t * omega)
-    tau = 2.0 * (s * omega + t)
+    sigma, tau = _sigma_tau_from_st_raw(s, t, omega)
     return s * np.sinh(sigma) + t * np.sin(tau)
 
 
@@ -120,7 +120,7 @@ def theta_curve(spec: ThetaCurveSpec, sigma: float) -> float:
     Om = spec.Omega
     om = spec.omega
     if om != 0.0:
-        sigma_inf = math.asinh(1.0 / (om * Om))
+        sigma_inf = _theta_pole(Om, om)
         if abs(sigma - sigma_inf) < _ASYMPTOTE_TOL:
             raise AsymptoteError(f"sigma={sigma} sits on the asymptote at {sigma_inf}")
     try:
@@ -144,7 +144,12 @@ def theta_asymptote(spec: ThetaCurveSpec) -> float:
     """Location sigma_inf = arcsinh(1/(omega*Omega)) of the vertical asymptote."""
     if spec.omega == 0.0:
         raise ValueError("theta curves at omega = 0 have no vertical asymptote")
-    return math.asinh(1.0 / (spec.omega * spec.Omega))
+    return _theta_pole(spec.Omega, spec.omega)
+
+
+def _theta_pole(Om: float, om: float) -> float:
+    """Vertical asymptote of the Theta curve of Omega = Om at omega = om != 0."""
+    return math.asinh(1.0 / (om * Om))
 
 
 def envelope_asymptote(sigma: float, omega: float, branch_sign: int) -> float:

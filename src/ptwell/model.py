@@ -131,8 +131,7 @@ def energy_from_st(w: WaveVector) -> float:
 def sigma_tau_from_st(w: WaveVector, params: ModelParams) -> RotatedPoint:
     """Rotate by phi and scale by 2/cos(phi): sigma = 2(s - t*omega),
     tau = 2(s*omega + t)."""
-    om = params.omega
-    return RotatedPoint(2.0 * (w.s - w.t * om), 2.0 * (w.s * om + w.t))
+    return RotatedPoint(*_sigma_tau_from_st_raw(w.s, w.t, params.omega))
 
 
 def st_from_sigma_tau(r: RotatedPoint, params: ModelParams) -> WaveVector:
@@ -147,6 +146,11 @@ def st_from_sigma_tau(r: RotatedPoint, params: ModelParams) -> WaveVector:
             f"(sigma={r.sigma}, tau={r.tau}) maps to s={s}, t={t} outside the quadrant"
         )
     return WaveVector(s, t)
+
+
+def _sigma_tau_from_st_raw(s, t, omega):
+    """(sigma, tau) = 2(s - t*omega, s*omega + t) on floats or arrays."""
+    return 2.0 * (s - t * omega), 2.0 * (s * omega + t)
 
 
 def _st_from_sigma_tau_raw(sigma: float, tau: float, omega: float) -> tuple[float, float]:

@@ -52,6 +52,7 @@ from .errors import (
 from .matching import (
     _residual_real_st,
     _theta_of_sinh,
+    _theta_pole,
     amplitude_A,
     counting_determinant,
     matching_determinant,
@@ -61,6 +62,7 @@ from .model import (
     LatticeIndex,
     ModelParams,
     WaveVector,
+    _sigma_tau_from_st_raw,
     _st_from_sigma_tau_raw,
     lattice_compose,
     omega_factor,
@@ -247,6 +249,9 @@ def _cluster_offsets() -> np.ndarray:
 # k_max = 16 solve at once held about 240 MB.
 _LINE_CHUNK = 16
 
+# the lattice tracer solves for sigma in [-_SIG_CAP, _SIG_CAP]
+_SIG_CAP = 25.0
+
 
 def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.ndarray]:
     """For each line j, the sorted array of all sigma in [-sig_cap, sig_cap]
@@ -268,8 +273,8 @@ def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.nda
             seg_line, seg_lo, seg_hi, seg_pole = [], [], [], []
             for j in range(c0, min(c0 + _LINE_CHUNK, tau.size)):
                 pts, pole = [-sig_cap, sig_cap], math.nan
-                if om != 0.0 and Om[j] != 0.0:
-                    at = math.asinh(1.0 / (float(Om[j]) * om))
+                if om != 0.0:
+                    at = _theta_pole(float(Om[j]), om)
                     if -sig_cap < at < sig_cap:
                         pts, pole = [-sig_cap, at, sig_cap], at
                 for a, b in zip(pts[:-1], pts[1:]):
@@ -323,8 +328,7 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     genuine intersection."""
     Z, om = params.Z, params.omega
     for _ in range(60):
-        sig = 2.0 * (s - t * om)
-        tau = 2.0 * (s * om + t)
+        sig, tau = _sigma_tau_from_st_raw(s, t, om)
         try:
             sh, ch = math.sinh(sig), math.cosh(sig)
         except OverflowError:
@@ -346,7 +350,7 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     if t <= 0.0:
         return None
     try:
-        scale = max(1.0, abs(s * math.sinh(2.0 * (s - t * om))))
+        scale = max(1.0, abs(s * math.sinh(_sigma_tau_from_st_raw(s, t, om)[0])))
     except OverflowError:
         return None
     res = float(_residual_real_st(s, t, om))
@@ -356,11 +360,13 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     return None
 
 
-def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """np.unique of a float array without NaN. np.unique itself imports
-    numpy.ma on first use, which costs a CLI process 12-20 ms."""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+def _xi_grid(n_even: int, deepest: float, n_deep: int) -> list[float]:
+    """Sorted, distinct xi of locus samples: n_even evenly spaced on [0, 1 - 1e-6]
+    and n_deep geometric from 1 - 0.05 to 1 - deepest. Not np.unique: that
+    imports numpy.ma on first use, which costs a CLI process 12-20 ms."""
+    even = np.linspace(0.0, 1.0 - 1e-6, n_even)
+    x = np.sort(np.concatenate([even, 1.0 - np.geomspace(deepest, 0.05, n_deep)]))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))].tolist()
 
 
 def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
@@ -396,7 +402,7 @@ def _locus_points(
 
 
 def _trace_loci(
-    families: list[tuple[int, int, int]], params: ModelParams, sig_cap: float, n_xi: int
+    families: list[tuple[int, int, int]], params: ModelParams
 ) -> list[dict[float, np.ndarray]]:
     """The loci of each (stripe, p, q) family, keyed by xi in [0, 1).
 
@@ -410,10 +416,8 @@ def _trace_loci(
     # 1 - xi ~ Z^2 / tau^3, so the boundary cluster has to reach far deeper
     # than a uniform grid: 1e-12 covers every root the tau resolution of
     # float64 can distinguish from the boundary pole itself.
-    xis = _sorted_distinct(
-        np.concatenate([np.linspace(0.0, 1.0 - 1e-6, n_xi), 1.0 - np.geomspace(1e-12, 0.05, 22)])
-    ).tolist()
-    flat = _loci([(xi, *fam) for fam in families for xi in xis], params, sig_cap)
+    xis = _xi_grid(41, 1e-12, 22)
+    flat = _loci([(xi, *fam) for fam in families for xi in xis], params, _SIG_CAP)
     loci = [dict(zip(xis, flat[i * len(xis):(i + 1) * len(xis)])) for i in range(len(families))]
     gaps = [(i, lo, hi) for i in range(len(families)) for lo, hi in zip(xis[:-1], xis[1:])]
     while True:
@@ -424,7 +428,7 @@ def _trace_loci(
         ]
         if not split:
             return loci
-        sols = _loci([(mid, *families[i]) for i, _, _, mid in split], params, sig_cap)
+        sols = _loci([(mid, *families[i]) for i, _, _, mid in split], params, _SIG_CAP)
         gaps = []
         for (i, lo, hi, mid), pts in zip(split, sols):
             loci[i][mid] = pts
@@ -460,9 +464,7 @@ def _trace_family(locus: dict[float, np.ndarray], seeds: list[tuple[float, float
         prev = cur
 
 
-def real_spectrum_lattice(
-    params: ModelParams, k_max: int, sig_cap: float = 25.0, n_xi: int = 41
-) -> list[BoundState]:
+def real_spectrum_lattice(params: ModelParams, k_max: int) -> list[BoundState]:
     """Real levels by the geometric method: trace the matching loci per
     stripe k <= k_max on a xi refinement grid, intersect them with the
     constraint hyperbola, and polish each intersection by 2-D Newton.
@@ -476,7 +478,7 @@ def real_spectrum_lattice(
         return hermitian_spectrum(params, e_max=((k_max + 1) * math.pi) ** 2)
     families = [(k, p, q) for k in range(0, k_max + 1) for p in (1, -1) for q in (1, -1)]
     seeds: list[tuple[float, float]] = []
-    for locus in _trace_loci(families, params, sig_cap, n_xi):
+    for locus in _trace_loci(families, params):
         _trace_family(locus, seeds)
     states: list[BoundState] = []
     failures = []
@@ -722,7 +724,7 @@ def _real_axis_sign_change(re0: float, re1: float, params: ModelParams) -> bool:
     pts, _ = _edge_samples([(complex(re0, 0.0), complex(re1, 0.0))], params)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = counting_determinant(pts, params).real
-        return bool(np.any(vals[:-1] * vals[1:] < 0.0))
+    return bool(_sign_changes(vals)[0].any())
 
 
 def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[complex]:
@@ -799,7 +801,18 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
 _REAL_CLASSIFY_TOL = 1e-8
 
 
-def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) -> SpectrumReport:
+def _require_symmetric(window: EnergyWindow) -> None:
+    """WindowError unless the window is symmetric about the real axis, so
+    that it holds both members of every conjugate pair."""
+    span = max(abs(window.im_min), abs(window.im_max))
+    if abs(window.im_min + window.im_max) > 1e-9 * max(span, 1.0):
+        raise WindowError(
+            f"pair scanning requires a window symmetric about the real axis, got "
+            f"[{window.im_min}, {window.im_max}]"
+        )
+
+
+def complex_spectrum(params: ModelParams, window: EnergyWindow) -> SpectrumReport:
     """All eigenvalues inside the window by argument-principle counting of
     the entire counting determinant, subdivision until each cell isolates
     one zero, and Newton refinement.
@@ -820,14 +833,7 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
     the envelope and the hyperbola do not cross in [-50, -2] (for example
     Z = 5, omega = 0.5): the key is then left out and the roots still stand.
     """
-    if window is None:
-        window = EnergyWindow(0.0, 2000.0, -200.0, 200.0)
-    span = max(abs(window.im_min), abs(window.im_max))
-    if abs(window.im_min + window.im_max) > 1e-9 * max(span, 1.0):
-        raise WindowError(
-            f"pair scanning requires a window symmetric about the real axis, got "
-            f"[{window.im_min}, {window.im_max}]"
-        )
+    _require_symmetric(window)
     roots = _find_zeros(
         _counted_cell(window.re_min, window.re_max, window.im_min, window.im_max, params, {}), params
     )
@@ -899,18 +905,13 @@ def complex_spectrum(params: ModelParams, window: EnergyWindow | None = None) ->
 def count_real(params: ModelParams, e_max: float) -> int:
     """Number of real levels with E <= e_max. Saturates as e_max grows
     whenever Z != 0 and omega != 0."""
-    return len(real_spectrum_bracket(params, s_max=12.0, e_max=e_max))
+    return len(real_spectrum_bracket(params, e_max=e_max))
 
 
-def critical_couplings(
-    omega: float,
-    n_pairs: int,
-    z_max: float = 60.0,
-    tracking_e_max: float = 400.0,
-) -> list[float]:
+def critical_couplings(omega: float, n_pairs: int, tracking_e_max: float = 400.0) -> list[float]:
     """First n_pairs couplings Z_N at which a real level pair merges and
     complexifies, located by bisection on the real-level count within the
-    tracking window [0, tracking_e_max].
+    tracking window [0, tracking_e_max], for Z up to 60.
 
     Single-level count changes (a level drifting across the window edge)
     are treated as baseline shifts; a bisected jump that is not a clean
@@ -918,6 +919,7 @@ def critical_couplings(
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    z_max = 60.0
 
     def count_at(z: float) -> int:
         return count_real(ModelParams(Z=z, omega=omega), tracking_e_max)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ptwell.cli import main, report_from_json, report_to_json
+from ptwell.errors import WindowError
 from ptwell.model import ModelParams
 from ptwell.spectrum import EnergyWindow, complex_spectrum, real_spectrum_bracket
 
@@ -105,6 +106,14 @@ def test_exit_code_bad_number():
 def test_exit_code_asymmetric_window():
     rc, _, err = run_cli("complex", "--Z", "1", "--omega", "0.1", "--window", "0,100,-5,6")
     assert rc == 2 and b"window" in err.lower()
+
+
+def test_asymmetric_window_message_is_the_library_one():
+    with pytest.raises(WindowError) as err:
+        complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 100.0, -5.0, 6.0))
+    rc, out, stderr = run_cli("complex", "--Z", "1", "--omega", "0.1", "--window", "0,100,-5,6")
+    assert rc == 2 and out == b""
+    assert stderr.decode() == f"error: {err.value}\n"
 
 
 def test_exit_code_unknown_command():

@@ -1,6 +1,7 @@
 """Coupling hyperbola branches, asymptote, and the crossover point."""
 
 import math
+import random
 
 import pytest
 
@@ -56,6 +57,18 @@ def test_reflected_branch_values():
     assert reflected_branch(2.0, params) == pytest.approx(-math.sqrt(12.0), rel=1e-14)
     with pytest.raises(ValueError):
         reflected_branch(0.0, ModelParams(Z=1.0, omega=0.5))
+
+
+def test_omega_negative_branches_are_xi_at_abs_omega():
+    """Upsilon(tau) at omega < 0 is Xi(tau) at |omega|, and Sigma is
+    -Upsilon, bit for bit."""
+    rng = random.Random(2004)
+    for _ in range(5000):
+        Z, om = 10.0 ** rng.uniform(-8.0, 3.0), -(10.0 ** rng.uniform(-4.0, 2.0))
+        tau = rng.choice([0.0, rng.uniform(-1.0, 1.0), rng.uniform(-300.0, 300.0)])
+        up = upsilon_branch(tau, ModelParams(Z=Z, omega=om))
+        assert up.hex() == xi_branch(tau, ModelParams(Z=Z, omega=-om)).hex()
+        assert reflected_branch(tau, ModelParams(Z=Z, omega=om)).hex() == (-up).hex()
 
 
 def test_hyperbola_asymptote_values():

@@ -436,6 +436,29 @@ def test_count_mismatch_names_the_skipped_split(monkeypatch):
     assert "split fraction 0.5 skipped: Re G changes sign on its line Im E = 0" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "vals, change",
+    [
+        ([1.0, -2.0], True),
+        ([1.0, 1e-200, -1e-200], True),  # the product underflows to -0.0
+        ([1.0, math.inf, -1.0], False),  # a cell with an infinite end
+        ([1.0, -math.inf], False),
+        ([1.0, math.nan, -1.0], False),
+        ([1.0, 0.0, -1.0], False),
+        ([1.0, 2.0, 3.0], False),
+    ],
+)
+def test_real_axis_sign_change_takes_finite_neighbours(monkeypatch, vals, change):
+    """Re G sampled along the real axis counts a sign change only between
+    finite neighbours of opposite sign, whatever their product."""
+
+    def fake_g(pts, params):
+        return np.array(vals + [vals[-1]] * (len(pts) - len(vals)), dtype=complex)
+
+    monkeypatch.setattr(spectrum, "counting_determinant", fake_g)
+    assert spectrum._real_axis_sign_change(0.0, 10.0, ModelParams(Z=1.0, omega=0.1)) is change
+
+
 def test_complex_spectrum_overflow_is_a_window_error():
     # cosh overflows at E = -1e6, where |kappa*(1+|omega|)| is about 1100;
     # the error names the first side of the window, in order, that overflows
