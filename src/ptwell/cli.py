@@ -44,7 +44,6 @@ from .spectrum import (
     real_spectrum_lattice,
     _locus_points,
     _require_symmetric,
-    _xi_grid,
 )
 
 __all__ = ["main", "report_to_json", "report_from_json"]
@@ -241,6 +240,12 @@ def _resolve(args: argparse.Namespace) -> None:
         _require_symmetric(args.window)
     if args.command == "curves":
         args.xi = _parse_float_list(args.xi)
+        if not args.sigma_max > 0.0:
+            raise ValueError(f"flag --sigma-max must be > 0, got {args.sigma_max}")
+        if args.points < 2:
+            raise ValueError(f"flag --points must be >= 2, got {args.points}")
+        if args.stripe < 0:
+            raise ValueError(f"flag --stripe must be >= 0, got {args.stripe}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +278,31 @@ def _theta_segments(args: argparse.Namespace) -> list[dict]:
     return segs
 
 
-def _chain_locus(k: int, p: int, q: int, args: argparse.Namespace) -> list[dict]:
-    """Order locus samples into polyline chains by continuity in sigma."""
-    # solutions of some (p, q) families exist only as xi -> 1, where the
-    # lattice line slope diverges; cluster samples there geometrically
-    xis = _xi_grid(max(args.points // 4, 40), 1e-6, 12)
-    chains: list[list[tuple[float, float]]] = []
-    tails: list[float] = []
-    for xi, pts in zip(xis, _locus_points(xis, k, p, q, args.params, args.sigma_max)):
-        tau_line = lattice_compose(LatticeIndex(k, p, q, xi))
-        used = set()
-        for sg in pts[:, 0].tolist():
-            best = None
-            for ci, tail in enumerate(tails):
-                if ci in used:
-                    continue
-                d = abs(sg - tail)
-                if d < 0.5 and (best is None or d < best[1]):
-                    best = (ci, d)
-            if best is None:
-                chains.append([(sg, tau_line)])
-                tails.append(sg)
-                used.add(len(chains) - 1)
-            else:
-                chains[best[0]].append((sg, tau_line))
-                tails[best[0]] = sg
-                used.add(best[0])
+def _locus_segments(families: list[tuple[int, int, int]], args: argparse.Namespace) -> list[dict]:
+    """The loci of each (stripe, p, q) family as the lattice tracer samples
+    them, in polyline chains: in xi order, each sample extends the chain
+    whose tail is nearest in sigma, within 0.5 and not yet extended at this
+    xi, or starts a chain. Chains of one point are left out."""
     segs = []
-    for ci, chain in enumerate(chains):
-        if len(chain) < 2:
-            continue
-        segs.append(
-            _segment(
-                f"locus_k{k}_p{p:+d}_q{q:+d}_c{ci}",
-                [c[0] for c in chain],
-                [c[1] for c in chain],
-            )
+    for (k, p, q), locus in zip(families, _locus_points(families, args.params, args.sigma_max)):
+        chains: list[list[tuple[float, float]]] = []
+        for xi in sorted(locus):
+            tau_line = lattice_compose(LatticeIndex(k, p, q, xi))
+            used = set()
+            for sg in locus[xi][:, 0].tolist():
+                d, ci = min(
+                    ((abs(sg - c[-1][0]), ci) for ci, c in enumerate(chains) if ci not in used),
+                    default=(math.inf, 0),
+                )
+                if d >= 0.5:
+                    ci = len(chains)
+                    chains.append([])
+                chains[ci].append((sg, tau_line))
+                used.add(ci)
+        segs.extend(
+            _segment(f"locus_k{k}_p{p:+d}_q{q:+d}_c{ci}", *zip(*chain))
+            for ci, chain in enumerate(chains)
+            if len(chain) >= 2
         )
     return segs
 
@@ -353,18 +347,12 @@ def _hyperbola_segments(args: argparse.Namespace) -> list[dict]:
 def _curves_payload(args: argparse.Namespace) -> dict:
     if args.family == "theta":
         segs = _theta_segments(args)
-    elif args.family == "oval":
-        segs = []
-        for q in (1, -1):
-            segs.extend(_chain_locus(args.stripe, args.p, q, args))
-        segs.extend(_hyperbola_segments(args))
-    else:  # intersection
-        segs = []
-        for k in range(0, args.stripe + 1):
-            for p in (1, -1):
-                for q in (1, -1):
-                    segs.extend(_chain_locus(k, p, q, args))
-        segs.extend(_hyperbola_segments(args))
+    else:
+        if args.family == "oval":
+            families = [(args.stripe, args.p, q) for q in (1, -1)]
+        else:  # intersection
+            families = [(k, p, q) for k in range(args.stripe + 1) for p in (1, -1) for q in (1, -1)]
+        segs = _locus_segments(families, args) + _hyperbola_segments(args)
     return {
         "family": args.family,
         "params": {"Z": args.params.Z, "omega": args.params.omega},
@@ -512,9 +500,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--xi", type=str, default="0,0.5,0.9,0.99", help="comma list of xi values"
     )
     p_curves.add_argument("--p", type=int, choices=(-1, 1), default=1)
-    p_curves.add_argument("--stripe", type=int, default=1, help="stripe index k")
-    p_curves.add_argument("--sigma-max", dest="sigma_max", type=float, default=12.0)
-    p_curves.add_argument("--points", type=int, default=600)
+    p_curves.add_argument(
+        "--stripe", type=int, default=1, help="stripe k >= 0: oval draws k, intersection 0..k"
+    )
+    p_curves.add_argument(
+        "--sigma-max", dest="sigma_max", type=float, default=12.0,
+        help="sigma range half-width (> 0) of every curve, loci included",
+    )
+    p_curves.add_argument(
+        "--points", type=int, default=600,
+        help="samples (>= 2) per theta or hyperbola segment; loci are the lattice tracer's samples",
+    )
 
     p_sweep = sub.add_parser("sweep", parents=[common, solver], help="spectrum over a parameter grid")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")

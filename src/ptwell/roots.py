@@ -20,8 +20,9 @@ from .errors import WindowError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# A sweep grid past this many points is taken to have stalled or to span
-# a range too wide to sweep: 4x the largest grid the tests build, the
+# A sweep grid past this many points is taken to span a range too wide,
+# or to take steps too small, to sweep (a step that does not move at all
+# stops the march at once): 4x the largest grid the tests build, the
 # determinant scan at e_max = 1e6 with 500,009 points.
 _MAX_GRID_POINTS = 2_000_000
 
@@ -31,7 +32,7 @@ def _march(lo: float, hi: float, step) -> np.ndarray:
     the first point not below hi.
 
     Raises WindowError, naming the range and the point reached, when the
-    grid would pass _MAX_GRID_POINTS points."""
+    grid would pass _MAX_GRID_POINTS points or a step would not move x."""
     pts = [lo]
     x = lo
     while x < hi:
@@ -40,7 +41,13 @@ def _march(lo: float, hi: float, step) -> np.ndarray:
                 f"sweep grid on [{lo}, {hi}] passed {_MAX_GRID_POINTS} points at {x}: "
                 "the range is too wide or the step too small to resolve"
             )
-        x = min(x + step(x), hi)
+        nxt = min(x + step(x), hi)
+        if nxt == x:
+            raise WindowError(
+                f"sweep grid on [{lo}, {hi}] stalled at {x} after {len(pts)} points: "
+                "the step is below the float spacing there"
+            )
+        x = nxt
         pts.append(x)
     return np.asarray(pts)
 

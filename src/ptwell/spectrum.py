@@ -11,7 +11,8 @@ Real levels come from three independent methods that must agree:
   solution loci, detect crossings of the constraint hyperbola and polish
   each with a 2-D Newton iteration. The lines of every family are solved
   together: their grids are scanned in fixed chunks and all brackets are
-  bisected in one batch;
+  bisected in one batch. _locus_points is the one locus sampler: `ptwell
+  curves` draws the loci it returns;
 * the determinant scan -- the real zeros of the quantization determinant
   along the real energy axis.
 
@@ -360,15 +361,6 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
     return None
 
 
-def _xi_grid(n_even: int, deepest: float, n_deep: int) -> list[float]:
-    """Sorted, distinct xi of locus samples: n_even evenly spaced on [0, 1 - 1e-6]
-    and n_deep geometric from 1 - 0.05 to 1 - deepest. Not np.unique: that
-    imports numpy.ma on first use, which costs a CLI process 12-20 ms."""
-    even = np.linspace(0.0, 1.0 - 1e-6, n_even)
-    x = np.sort(np.concatenate([even, 1.0 - np.geomspace(deepest, 0.05, n_deep)]))
-    return x[np.concatenate(([True], x[1:] != x[:-1]))].tolist()
-
-
 def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
     """Locus samples on each lattice line (xi, k, p, q) of lines, all solved
     in one _solve_theta_lines call: per line an (n, 4) array whose rows are
@@ -394,30 +386,30 @@ def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
 
 
 def _locus_points(
-    xis, k: int, p: int, q: int, params: ModelParams, sig_cap: float
-) -> list[np.ndarray]:
-    """Locus samples on the lattice lines (k, p, q, xi), one (n, 4) array of
-    rows (sigma, 2st - Z, s, t) per xi of xis."""
-    return _loci([(xi, k, p, q) for xi in xis], params, sig_cap)
-
-
-def _trace_loci(
-    families: list[tuple[int, int, int]], params: ModelParams
+    families: list[tuple[int, int, int]], params: ModelParams, sig_cap: float
 ) -> list[dict[float, np.ndarray]]:
-    """The loci of each (stripe, p, q) family, keyed by xi in [0, 1).
+    """The loci of each (stripe, p, q) family, keyed by xi in [0, 1): per xi
+    an (n, 4) array of rows (sigma, 2st - Z, s, t), sigma in [-sig_cap,
+    sig_cap] increasing. The lattice tracer and `ptwell curves` both
+    sample the loci here.
 
-    Every family starts on one xi grid. Solution-count changes (pair birth
-    or death at a tangency) are then refined in rounds: each round adds the
-    midpoint of every adjacent pair of xi, in any family, whose counts
-    differ and that lie more than 1e-5 apart, until no such pair is left.
-    The initial grid of all families is solved in one call, and so is each
-    round."""
+    Every family starts on one xi grid: 41 even points on [0, 1 - 1e-6] and
+    22 geometric ones from 1 - 0.05 to 1 - 1e-12. Solution-count changes
+    (pair birth or death at a tangency) are then refined in rounds: each
+    round adds the midpoint of every adjacent pair of xi, in any family,
+    whose counts differ and that lie more than 1e-5 apart, until no such
+    pair is left. The initial grid of all families is solved in one call,
+    and so is each round."""
     # High stripes push intersections against the xi -> 1 boundary like
     # 1 - xi ~ Z^2 / tau^3, so the boundary cluster has to reach far deeper
     # than a uniform grid: 1e-12 covers every root the tau resolution of
     # float64 can distinguish from the boundary pole itself.
-    xis = _xi_grid(41, 1e-12, 22)
-    flat = _loci([(xi, *fam) for fam in families for xi in xis], params, _SIG_CAP)
+    even = np.linspace(0.0, 1.0 - 1e-6, 41)
+    x = np.sort(np.concatenate([even, 1.0 - np.geomspace(1e-12, 0.05, 22)]))
+    # sorted and deduplicated by hand, not by np.unique: that imports
+    # numpy.ma on first use, which costs a CLI process 12-20 ms
+    xis = x[np.concatenate(([True], x[1:] != x[:-1]))].tolist()
+    flat = _loci([(xi, *fam) for fam in families for xi in xis], params, sig_cap)
     loci = [dict(zip(xis, flat[i * len(xis):(i + 1) * len(xis)])) for i in range(len(families))]
     gaps = [(i, lo, hi) for i in range(len(families)) for lo, hi in zip(xis[:-1], xis[1:])]
     while True:
@@ -428,7 +420,7 @@ def _trace_loci(
         ]
         if not split:
             return loci
-        sols = _loci([(mid, *families[i]) for i, _, _, mid in split], params, _SIG_CAP)
+        sols = _loci([(mid, *families[i]) for i, _, _, mid in split], params, sig_cap)
         gaps = []
         for (i, lo, hi, mid), pts in zip(split, sols):
             loci[i][mid] = pts
@@ -440,7 +432,7 @@ def _trace_family(locus: dict[float, np.ndarray], seeds: list[tuple[float, float
     hyperbola crossings.
 
     Where the solution count changes between neighbouring xi (the
-    refinement rounds of _trace_loci have brought them within 1e-5), the
+    refinement rounds of _locus_points have brought them within 1e-5), the
     adjacent-solution midpoints on the richer side are seeded as well: the
     crossing may sit arbitrarily close to the tangency."""
     prev: list[list[float]] | None = None
@@ -478,7 +470,7 @@ def real_spectrum_lattice(params: ModelParams, k_max: int) -> list[BoundState]:
         return hermitian_spectrum(params, e_max=((k_max + 1) * math.pi) ** 2)
     families = [(k, p, q) for k in range(0, k_max + 1) for p in (1, -1) for q in (1, -1)]
     seeds: list[tuple[float, float]] = []
-    for locus in _trace_loci(families, params):
+    for locus in _locus_points(families, params, _SIG_CAP):
         _trace_family(locus, seeds)
     states: list[BoundState] = []
     failures = []

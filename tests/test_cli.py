@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from ptwell import cli
 from ptwell.cli import main, report_from_json, report_to_json
 from ptwell.errors import WindowError
-from ptwell.model import ModelParams
+from ptwell.model import LatticeIndex, ModelParams, lattice_compose
 from ptwell.spectrum import EnergyWindow, complex_spectrum, real_spectrum_bracket
 
 
@@ -230,6 +231,70 @@ def test_curves_unreadable_config_is_an_io_error():
     assert rc == 4 and b"cannot read config" in err
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "key, value",
+    [("sigma_max", "0"), ("sigma_max", "-3"), ("points", "0"), ("points", "1"), ("stripe", "-2")],
+)
+def test_curves_out_of_range_flag_exits_2(tmp_path, capsys, key, value, via_config):
+    flag = "--" + key.replace("_", "-")
+    argv = ["curves", "--Z", "1", "--omega", "0", "--family", "oval"]
+    if via_config:
+        cfg = tmp_path / "curves.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"{flag}={value}")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: flag {flag} must be ")
+
+
+@pytest.mark.parametrize("omega", ["0.1", "-0.1"])
+@pytest.mark.parametrize(
+    "family, families",
+    [
+        ("oval", [(1, 1, 1), (1, 1, -1)]),
+        ("intersection", [(k, p, q) for k in (0, 1) for p in (1, -1) for q in (1, -1)]),
+    ],
+)
+def test_curves_draw_the_lattice_tracer_samples(monkeypatch, capsys, omega, family, families):
+    calls, sample = [], cli._locus_points
+
+    def recording(*args):
+        calls.append((args, sample(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "_locus_points", recording)
+    assert main(["curves", "--Z", "1", "--omega", omega, "--family", family]) == 0
+    assert len(calls) == 1
+    (got_families, params, sig_cap), loci = calls[0]
+    assert got_families == families and params == ModelParams(1.0, float(omega)) and sig_cap == 12.0
+    samples = {
+        (float(cli._fmt(sg)), float(cli._fmt(lattice_compose(LatticeIndex(*fam, xi)))))
+        for fam, locus in zip(families, loci)
+        for xi, pts in locus.items()
+        for sg in pts[:, 0]
+    }
+    drawn = [
+        tuple(pt)
+        for seg in json.loads(capsys.readouterr().out)["segments"]
+        if seg["name"].startswith("locus_")
+        for pt in seg["points"]
+    ]
+    assert drawn and set(drawn) <= samples
+
+
+@pytest.mark.parametrize("family", ["oval", "intersection"])
+def test_curves_points_leaves_the_loci_alone(capsys, family):
+    def loci(*flags):
+        assert main(["curves", "--Z", "1", "--omega", "0.1", "--family", family, *flags]) == 0
+        segs = json.loads(capsys.readouterr().out)["segments"]
+        return [seg for seg in segs if seg["name"].startswith("locus_")]
+
+    assert loci() and loci("--points", "40") == loci()
+
+
 def test_complex_default_window(capsys):
     assert main(["complex", "--Z", "1", "--omega", "0.1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -293,7 +358,13 @@ def test_unbounded_sweep_exits_3(monkeypatch, capsys, argv, where):
     monkeypatch.setattr("ptwell.roots._MAX_GRID_POINTS", 10_000)
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert f"error: sweep grid on {where} passed 10000 points at " in err
+    # a wide --smax range runs into the point bound; the other two sweeps
+    # step by less than the float spacing at their first point
+    if "--smax" in argv:
+        assert f"error: sweep grid on {where} passed 10000 points at " in err
+    else:
+        lo = where[1:].partition(",")[0]
+        assert f"error: sweep grid on {where} stalled at {lo} after 1 points: " in err
 
 
 def test_vanishing_coupling_exits_3(capsys):

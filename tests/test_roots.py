@@ -171,24 +171,40 @@ def test_march_raises_past_the_point_bound(monkeypatch):
         _march(0.0, 1.0, lambda x: 0.25)
 
 
-def test_march_raises_where_the_step_stalls(monkeypatch):
-    monkeypatch.setattr(roots, "_MAX_GRID_POINTS", 1000)
-    with pytest.raises(WindowError, match=r"passed 1000 points at 1.0"):
+def test_march_raises_where_the_step_stalls():
+    # at once: the point bound is left at its real value
+    with pytest.raises(WindowError, match=r"on \[1.0, 2.0\] stalled at 1.0 after 1 points"):
         _march(1.0, 2.0, lambda x: 1e-300)
 
 
+# a wide range runs into the point bound; a step that underflows against
+# the first point stalls there
 @pytest.mark.parametrize(
-    "solve",
+    "solve, message",
     [
-        lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 0.1), s_max=1e300),
-        lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 1e300)),
-        lambda: spectrum.count_real(ModelParams(1.0, 0.1), 1e300),
-        lambda: spectrum.determinant_real_roots(ModelParams(1.0, 0.1), e_max=1e300),
+        (
+            lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 0.1), s_max=1e300),
+            "passed 10000 points",
+        ),
+        (
+            lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 1e300)),
+            "stalled at 0.011180339538113364 after 1 points",
+        ),
+        (
+            lambda: spectrum.count_real(ModelParams(1.0, 0.1), 1e300),
+            "stalled at 5e-151 after 1 points",
+        ),
+        (
+            lambda: spectrum.determinant_real_roots(ModelParams(1.0, 0.1), e_max=1e300),
+            "passed 10000 points",
+        ),
     ],
+    # the ids pytest gives a list of bare lambdas, so each case keeps its name
+    ids=[f"<lambda>{i}" for i in range(4)],
 )
-def test_unbounded_sweeps_are_window_errors(monkeypatch, solve):
+def test_unbounded_sweeps_are_window_errors(monkeypatch, solve, message):
     monkeypatch.setattr(roots, "_MAX_GRID_POINTS", 10_000)
-    with pytest.raises(WindowError, match="passed 10000 points"):
+    with pytest.raises(WindowError, match=message):
         solve()
 
 

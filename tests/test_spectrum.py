@@ -687,11 +687,13 @@ def test_theta_lines_batch_equals_one_line_calls(om, sig_cap):
 
 
 def test_locus_points_one_array_per_xi():
-    xis = [0.0, 0.3, 1.0 - 1e-9]
-    pts = spectrum._locus_points(xis, 2, -1, 1, ModelParams(Z=1.0, omega=0.1), 25.0)
-    assert len(pts) == len(xis)
-    for arr in pts:
-        assert arr.shape[1] == 4 and list(arr[:, 0]) == sorted(arr[:, 0])
+    families = [(2, -1, 1), (0, 1, -1)]
+    loci = spectrum._locus_points(families, ModelParams(Z=1.0, omega=0.1), 25.0)
+    assert len(loci) == len(families)
+    for locus in loci:
+        assert 0.0 in locus and 1.0 - 1e-12 in locus
+        for arr in locus.values():
+            assert arr.shape[1] == 4 and list(arr[:, 0]) == sorted(arr[:, 0])
 
 
 def test_lattice_tracer_memory_stays_bounded():
