@@ -240,12 +240,16 @@ def _resolve(args: argparse.Namespace) -> None:
         _require_symmetric(args.window)
     if args.command == "curves":
         args.xi = _parse_float_list(args.xi)
+        if args.family == "theta" and not args.xi:
+            raise ValueError("flag --xi must hold at least one number for the theta family")
         if not args.sigma_max > 0.0:
             raise ValueError(f"flag --sigma-max must be > 0, got {args.sigma_max}")
         if args.points < 2:
             raise ValueError(f"flag --points must be >= 2, got {args.points}")
         if args.stripe < 0:
             raise ValueError(f"flag --stripe must be >= 0, got {args.stripe}")
+    if args.command == "sweep" and args.jobs < 1:
+        raise ValueError(f"flag --jobs must be >= 1, got {args.jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
 
     p_sweep = sub.add_parser("sweep", parents=[common, solver], help="spectrum over a parameter grid")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (>= 1)")
     return parser, sub.choices
 
 

@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling strength Z >= 0 and matching-point shift omega.
+    """Finite coupling strength Z >= 0 and finite matching-point shift omega.
 
     The rotation angle phi = arctan(omega) is derived, never passed.
     """
@@ -52,6 +52,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.Z >= 0.0):
             raise ValueError(f"coupling Z must be >= 0, got {self.Z}")
+        if math.isinf(self.Z):
+            raise ValueError(f"coupling Z must be finite, got {self.Z}")
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         object.__setattr__(self, "phi", math.atan(self.omega))

@@ -87,7 +87,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EnergyWindow:
-    """Rectangle in the complex energy plane."""
+    """Rectangle in the complex energy plane, with finite bounds and spans."""
 
     re_min: float
     re_max: float
@@ -95,10 +95,12 @@ class EnergyWindow:
     im_max: float
 
     def __post_init__(self) -> None:
+        box = f"[{self.re_min}, {self.re_max}] x [{self.im_min}, {self.im_max}]"
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise WindowError(
-                f"degenerate window [{self.re_min}, {self.re_max}] x [{self.im_min}, {self.im_max}]"
-            )
+            raise WindowError(f"degenerate window {box}")
+        # an infinite bound makes its span infinite or NaN
+        if not (math.isfinite(self.re_max - self.re_min) and math.isfinite(self.im_max - self.im_min)):
+            raise WindowError(f"window {box} needs finite bounds and finite spans")
 
 
 @dataclass
@@ -254,9 +256,12 @@ _LINE_CHUNK = 16
 _SIG_CAP = 25.0
 
 
-def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.ndarray]:
-    """For each line j, the sorted array of all sigma in [-sig_cap, sig_cap]
-    with Theta(sigma) = tau_lines[j] on the curve of Omega = Oms[j].
+def _solve_theta_lines(
+    tau_lines, Oms, om: float, sig_cap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """All sigma in [-sig_cap, sig_cap] with Theta(sigma) = tau_lines[j]
+    on the curve of Omega = Oms[j], over every line j: the roots flat, and
+    each root's line index, sorted by line and then by sigma.
 
     Each line's scan splits at the curve's vertical asymptote and clusters
     sample points geometrically around sigma = 0 and around the asymptote,
@@ -265,8 +270,6 @@ def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.nda
     one _bisect_batch."""
     tau = np.asarray(tau_lines, dtype=float)
     Om = np.asarray(Oms, dtype=float)
-    if tau.size == 0:
-        return []
     offsets = _cluster_offsets()
     brackets, zeros = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +322,7 @@ def _solve_theta_lines(tau_lines, Oms, om: float, sig_cap: float) -> list[np.nda
         roots = np.concatenate([_bisect_batch(f, a, b, fa), *(z for z, _ in zeros)])
     line = np.concatenate([lane_line, *(j for _, j in zeros)])
     order = np.lexsort((roots, line))
-    return np.split(roots[order], np.cumsum(np.bincount(line, minlength=tau.size))[:-1])
+    return roots[order], line[order]
 
 
 def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] | None:
@@ -364,25 +367,16 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
 def _loci(lines, params: ModelParams, sig_cap: float) -> list[np.ndarray]:
     """Locus samples on each lattice line (xi, k, p, q) of lines, all solved
     in one _solve_theta_lines call: per line an (n, 4) array whose rows are
-    (sigma, 2st - Z, s, t) in increasing sigma."""
-    taus = [lattice_compose(LatticeIndex(k, p, q, xi)) for xi, k, p, q in lines]
-    live = [j for j, tau in enumerate(taus) if tau > 0.0]
-    out = [np.empty((0, 4))] * len(lines)
-    if not live:
-        return out
-    sols = _solve_theta_lines(
-        [taus[j] for j in live],
-        [omega_factor(lines[j][2], lines[j][0]) for j in live],
-        params.omega,
-        sig_cap,
-    )
-    counts = [len(sg) for sg in sols]
-    sg = np.concatenate(sols)
-    s, t = _st_from_sigma_tau_raw(sg, np.repeat([taus[j] for j in live], counts), params.omega)
+    (sigma, 2st - Z, s, t) in increasing sigma.
+
+    Every line has tau >= pi*(1 - xi)/2 > 0, since the tracer's xi stay at
+    or below 1 - 1e-12, so every line is solved."""
+    taus = np.array([lattice_compose(LatticeIndex(k, p, q, xi)) for xi, k, p, q in lines])
+    Oms = [omega_factor(p, xi) for xi, k, p, q in lines]
+    sg, line = _solve_theta_lines(taus, Oms, params.omega, sig_cap)
+    s, t = _st_from_sigma_tau_raw(sg, taus[line], params.omega)
     pts = np.stack([sg, 2.0 * s * t - params.Z, s, t], axis=1)
-    for j, part in zip(live, np.split(pts, np.cumsum(counts)[:-1])):
-        out[j] = part
-    return out
+    return np.split(pts, np.cumsum(np.bincount(line, minlength=len(lines)))[:-1])
 
 
 def _locus_points(
@@ -434,26 +428,21 @@ def _trace_family(locus: dict[float, np.ndarray], seeds: list[tuple[float, float
     Where the solution count changes between neighbouring xi (the
     refinement rounds of _locus_points have brought them within 1e-5), the
     adjacent-solution midpoints on the richer side are seeded as well: the
-    crossing may sit arbitrarily close to the tangency."""
-    prev: list[list[float]] | None = None
-    for xi in sorted(locus):
-        cur = locus[xi].tolist()
-        if prev is not None:
-            if len(cur) != len(prev):
-                rich = cur if len(cur) > len(prev) else prev
-                for a, b in zip(rich[:-1], rich[1:]):
-                    if abs(a[0] - b[0]) < 1.0:
-                        seeds.append((0.5 * (a[2] + b[2]), 0.5 * (a[3] + b[3])))
-            else:
-                for sg, h, s, t in cur:
-                    best = None
-                    for sg0, h0, s0, t0 in prev:
-                        dist = abs(sg - sg0)
-                        if best is None or dist < best[0]:
-                            best = (dist, h0, s0, t0)
-                    if best is not None and best[0] < 1.5 and h * best[1] < 0.0:
-                        seeds.append((0.5 * (s + best[2]), 0.5 * (t + best[3])))
-        prev = cur
+    crossing may sit arbitrarily close to the tangency. Otherwise each
+    sample is paired with the nearest in sigma of the previous column, the
+    first one on a tie."""
+    cols = [locus[xi].tolist() for xi in sorted(locus)]
+    for prev, cur in zip(cols[:-1], cols[1:]):
+        if len(cur) != len(prev):
+            rich = cur if len(cur) > len(prev) else prev
+            for a, b in zip(rich[:-1], rich[1:]):
+                if abs(a[0] - b[0]) < 1.0:
+                    seeds.append((0.5 * (a[2] + b[2]), 0.5 * (a[3] + b[3])))
+            continue
+        for sg, h, s, t in cur:
+            sg0, h0, s0, t0 = min(prev, key=lambda row: abs(sg - row[0]))
+            if abs(sg - sg0) < 1.5 and h * h0 < 0.0:
+                seeds.append((0.5 * (s + s0), 0.5 * (t + t0)))
 
 
 def real_spectrum_lattice(params: ModelParams, k_max: int) -> list[BoundState]:
@@ -905,9 +894,11 @@ def critical_couplings(omega: float, n_pairs: int, tracking_e_max: float = 400.0
     complexifies, located by bisection on the real-level count within the
     tracking window [0, tracking_e_max], for Z up to 60.
 
-    Single-level count changes (a level drifting across the window edge)
-    are treated as baseline shifts; a bisected jump that is not a clean
-    pair loss raises WindowError.
+    Z steps by 0.25 from 0.25; a step whose count falls is bisected down to
+    1e-4, each count taken once. A drop of 2 is a merge, reported at the
+    midpoint of the last bracket; a drop of 1 (a level drifting across the
+    window edge) is a baseline shift and is skipped; any other drop raises
+    WindowError. Finding fewer than n_pairs below Z = 60 raises SolverError.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -917,41 +908,30 @@ def critical_couplings(omega: float, n_pairs: int, tracking_e_max: float = 400.0
         return count_real(ModelParams(Z=z, omega=omega), tracking_e_max)
 
     criticals: list[float] = []
-    z = 0.25
-    current = count_at(z)
-    step = 0.25
+    z, current = 0.25, count_at(0.25)
     while len(criticals) < n_pairs:
-        z_next = z + step
-        if z_next > z_max:
+        lo, hi = z, z + 0.25
+        if hi > z_max:
             raise SolverError(
                 f"found only {len(criticals)} of {n_pairs} critical couplings below Z={z_max}"
             )
-        nxt = count_at(z_next)
-        if nxt >= current:
-            current = nxt  # count can grow at omega != 0 when levels enter
-            z = z_next
-            continue
-        # locate the first Z in (z, z_next] where the count first drops
-        lo, hi = z, z_next
-        c_lo = current
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            c_mid = count_at(mid)
-            if c_mid < c_lo:
-                hi = mid
-            else:
-                lo, c_lo = mid, c_mid
-        drop = c_lo - count_at(hi)
-        z_crit = 0.5 * (lo + hi)
-        if drop == 2:
-            criticals.append(z_crit)
-            current = c_lo - 2
-        elif drop == 1:
-            current = c_lo - 1  # boundary exit, not a merge
-        else:
-            raise WindowError(
-                f"count drops by {drop} at Z={z_crit:.6g}; the merging pair is not "
-                f"isolated in the tracking window (e_max={tracking_e_max})"
-            )
-        z = hi
+        c_lo, c_hi = current, count_at(hi)
+        if c_hi < c_lo:
+            # locate the first Z in (lo, hi] where the count drops
+            while hi - lo > 1e-4:
+                mid = 0.5 * (lo + hi)
+                c_mid = count_at(mid)
+                if c_mid < c_lo:
+                    hi, c_hi = mid, c_mid
+                else:
+                    lo, c_lo = mid, c_mid
+            drop, z_crit = c_lo - c_hi, 0.5 * (lo + hi)
+            if drop == 2:
+                criticals.append(z_crit)
+            elif drop != 1:
+                raise WindowError(
+                    f"count drops by {drop} at Z={z_crit:.6g}; the merging pair is not "
+                    f"isolated in the tracking window (e_max={tracking_e_max})"
+                )
+        z, current = hi, c_hi
     return criticals

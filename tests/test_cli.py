@@ -204,6 +204,14 @@ def test_exit_code_window_past_overflow():
     assert rc == 3 and out == b"" and b"below ~700" in err
 
 
+@pytest.mark.parametrize("window", ["0,10,-inf,inf", "-1e308,1e308,-1,1", "0,inf,-1,1"])
+def test_non_finite_window_exits_2(window):
+    rc, out, err = run_cli("complex", "--Z=1", "--omega=0.1", f"--window={window}")
+    assert rc == 2 and out == b""
+    assert err.startswith(b"error: window [") and b"needs finite bounds" in err
+    assert b"RuntimeWarning" not in err
+
+
 def test_curves_requires_family():
     rc, _, err = run_cli("curves", "--Z", "1", "--omega", "0.1")
     assert rc == 2 and b"family" in err
@@ -248,6 +256,29 @@ def test_curves_out_of_range_flag_exits_2(tmp_path, capsys, key, value, via_conf
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: flag {flag} must be ")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["curves", "--family", "theta"], "xi", ","),
+        (["curves", "--family", "theta"], "xi", ""),
+        (["sweep"], "jobs", "0"),
+        (["sweep"], "jobs", "-3"),
+    ],
+)
+def test_empty_xi_and_too_few_jobs_exit_2(tmp_path, capsys, argv, key, value, via_config):
+    argv = [*argv, "--Z", "1", "--omega", "0.1"]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--{key}={value}")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: flag --{key} must ")
 
 
 @pytest.mark.parametrize("omega", ["0.1", "-0.1"])

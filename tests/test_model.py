@@ -31,6 +31,22 @@ def test_params_store_rotation_angle():
     assert ModelParams(Z=2.0, omega=-1.0).phi == pytest.approx(-PI / 4, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "Z, omega, message",
+    [
+        (-1.0, 0.1, "coupling Z must be >= 0"),
+        (math.nan, 0.1, "coupling Z must be >= 0"),
+        (math.inf, 0.1, "coupling Z must be finite"),
+        (1.0, math.inf, "omega must be finite"),
+        (1.0, -math.inf, "omega must be finite"),
+        (1.0, math.nan, "omega must be finite"),
+    ],
+)
+def test_params_validation(Z, omega, message):
+    with pytest.raises(ValueError, match=message):
+        ModelParams(Z=Z, omega=omega)
+
+
 def test_kappa_values():
     assert kappa_from_st(WaveVector(1.0, 2.0)) == 1.0 - 2.0j
     assert kappa_from_st(WaveVector(0.0, PI / 2)) == complex(0.0, -PI / 2)

@@ -213,6 +213,21 @@ def test_energy_window_validation():
         EnergyWindow(0.0, 10.0, 5.0, -5.0)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((0.0, 10.0, -math.inf, math.inf), "needs finite bounds"),
+        ((0.0, math.inf, -1.0, 1.0), "needs finite bounds"),
+        ((-1e308, 1e308, -1.0, 1.0), "needs finite bounds"),
+        ((0.0, 10.0, -1e308, 1e308), "needs finite bounds"),
+        ((math.nan, 10.0, -1.0, 1.0), "degenerate window"),
+    ],
+)
+def test_energy_window_rejects_non_finite_bounds_and_spans(bounds, message):
+    with pytest.raises(WindowError, match=message):
+        EnergyWindow(*bounds)
+
+
 # ---------------------------------------------------------------------------
 # critical couplings
 
@@ -232,6 +247,54 @@ def test_critical_couplings_shift_with_rotation():
 def test_critical_coupling_continuity_in_small_rotation():
     z1 = critical_couplings(0.001, 1)[0]
     assert abs(z1 - 4.475311279) < 0.05
+
+
+def _scripted_counts(monkeypatch, steps):
+    """Replace count_real by a step function of Z: steps is a list of
+    (Z from which it holds, count), in increasing Z. Returns the list of
+    the Z values counted, in call order."""
+    calls = []
+
+    def count(params, e_max):
+        calls.append(params.Z)
+        return [n for z0, n in steps if params.Z >= z0][-1]
+
+    monkeypatch.setattr(spectrum, "count_real", count)
+    return calls
+
+
+def test_critical_couplings_bisect_a_scripted_merge(monkeypatch):
+    _scripted_counts(monkeypatch, [(0.0, 10), (1.3, 8)])
+    (z,) = critical_couplings(0.1, 1)
+    assert abs(z - 1.3) <= 0.5e-4
+
+
+def test_critical_couplings_skip_a_single_level_exit(monkeypatch):
+    calls = _scripted_counts(monkeypatch, [(0.0, 10), (1.1, 9), (2.2, 7)])
+    (z,) = critical_couplings(0.1, 1)
+    assert abs(z - 2.2) <= 0.5e-4
+    assert any(1.1 <= c < 1.1 + 1e-4 for c in calls)  # the exit was bisected, not reported
+
+
+def test_critical_couplings_reject_a_drop_of_three(monkeypatch):
+    _scripted_counts(monkeypatch, [(0.0, 10), (1.1, 7)])
+    with pytest.raises(WindowError, match=r"count drops by 3 at Z=1\.\d+; .*\(e_max=150\.0\)") as exc:
+        critical_couplings(0.1, 1, tracking_e_max=150.0)
+    assert abs(float(str(exc.value).split("Z=")[1].split(";")[0]) - 1.1) <= 0.5e-4
+
+
+def test_critical_couplings_stop_at_the_coupling_cap(monkeypatch):
+    _scripted_counts(monkeypatch, [(0.0, 10), (1.3, 8)])
+    with pytest.raises(SolverError, match=r"found only 1 of 2 critical couplings below Z=60"):
+        critical_couplings(0.1, 2)
+
+
+def test_critical_couplings_count_each_coupling_once(monkeypatch):
+    calls = _scripted_counts(monkeypatch, [(0.0, 10), (1.3, 8)])
+    critical_couplings(0.1, 1)
+    # Z = 0.25 to 1.5 on the 0.25 grid, then 12 halvings of (1.25, 1.5]
+    # down to 1e-4, and no second count at the top of the bracket
+    assert len(calls) == len(set(calls)) == 6 + 12
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +739,8 @@ def test_theta_lines_batch_equals_one_line_calls(om, sig_cap):
     of the per-line scan, so chunk boundaries cannot matter."""
     n = 3 * spectrum._LINE_CHUNK + 5
     taus, Oms = _random_lines(int(1000 * (om + 1.0) + sig_cap), n)
-    together = spectrum._solve_theta_lines(taus, Oms, om, sig_cap)
+    roots, line = spectrum._solve_theta_lines(taus, Oms, om, sig_cap)
+    together = np.split(roots, np.cumsum(np.bincount(line, minlength=n))[:-1])
     assert len(together) == n and sum(len(r) for r in together) > 20
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
