@@ -224,7 +224,7 @@ def _resolve(args: argparse.Namespace) -> None:
     for key in ("emax", "smax", "sigma_max"):
         val = getattr(args, key, None)
         if val is not None and not math.isfinite(val):
-            raise ValueError(f"flag {key} must be finite, got {val}")
+            raise ValueError(f"flag --{key.replace('_', '-')} must be finite, got {val}")
     args.z_values = _parse_float_list(args.Z)
     args.omega_values = _parse_float_list(args.omega)
     for name, values in (("Z", args.z_values), ("omega", args.omega_values)):

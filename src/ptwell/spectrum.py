@@ -19,7 +19,10 @@ Real levels come from three independent methods that must agree:
 Complex pairs come from argument-principle counting of the entire
 counting determinant over a window, with recursive subdivision on
 verified counts until each cell isolates one zero, followed by Newton
-refinement. Each cell's new edges are sampled and refined in one batch.
+refinement. Each cell's new edges are sampled and refined in one batch,
+and Newton polishes all of a window's isolated cells in one batch: each
+round evaluates G for every unfinished cell in one counting_determinant
+call, while each cell's own steps run in Python complex arithmetic.
 Critical couplings are located by bisection on the real-level count.
 
 Every real root search -- the bracketing sweep, the determinant scan
@@ -638,34 +641,6 @@ def _winding_count(re0, re1, im0, im1, params: ModelParams, edges: dict) -> int:
     return int(round(w))
 
 
-def _newton_complex(e0: complex, params: ModelParams) -> complex | None:
-    def value_and_slope(e: complex) -> tuple[complex, complex]:
-        # G at e and at e +- h in one call; the central difference is taken
-        # in Python complex arithmetic, where numpy's complex division by
-        # 2h would round differently
-        h = 1e-6 * (1.0 + abs(e))
-        g = counting_determinant(np.array([e, e + h, e - h]), params)
-        return complex(g[0]), (complex(g[1]) - complex(g[2])) / (2.0 * h)
-
-    e = e0
-    for _ in range(80):
-        f0, fp = value_and_slope(e)
-        if fp == 0.0 or not cmath.isfinite(fp):
-            return None
-        step = f0 / fp
-        e = e - step
-        if abs(step) < 1e-13 * (1.0 + abs(e)):
-            break
-    if not cmath.isfinite(e):
-        return None
-    # residual tolerance scaled by the local derivative: the counting
-    # function ranges over many orders of magnitude across a window
-    f_final, fp = value_and_slope(e)
-    if abs(f_final) > 1e-10 * max(1.0, abs(fp) * (1.0 + abs(e))):
-        return None
-    return e
-
-
 _SPLIT_FRACS = (0.5, 0.55, 0.45, 0.6, 0.4)
 _NEWTON_STARTS = ((0.5, 0.5), (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))
 
@@ -708,40 +683,106 @@ def _real_axis_sign_change(re0: float, re1: float, params: ModelParams) -> bool:
     return bool(_sign_changes(vals)[0].any())
 
 
-def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[complex]:
-    """Exactly cell.w zeros of G in the counted cell, or a SolverError.
+def _value_and_slope(e: complex):
+    """G at e and its central difference, as a generator step: yields the
+    points (e, e + h, e - h), is sent G there and returns (G(e), G'(e)).
+    The difference is taken in Python complex arithmetic, where numpy's
+    complex division by 2h would round differently."""
+    h = 1e-6 * (1.0 + abs(e))
+    g0, g1, g2 = yield (e, e + h, e - h)
+    return g0, (g1 - g2) / (2.0 * h)
 
-    A cell with w = 1 (or one shrunk below 1e-6 of the scale) is refined by
-    Newton from a few interior starts. Otherwise it is split into four at
-    the first fraction, in _SPLIT_FRACS order from the depth, whose
-    children's windings add up to w; all four children are counted before
-    any of them is solved, and the four children of one split sum each
-    interior segment once; each child's segments not summed yet are
+
+def _newton_lane(e: complex):
+    """Newton on G from e, as a generator driven by _newton_batch: the root,
+    or None where the slope vanishes or turns non-finite, the iterate turns
+    non-finite, or the residual, scaled by the local slope, stays large."""
+    for _ in range(80):
+        f0, fp = yield from _value_and_slope(e)
+        if fp == 0.0 or not cmath.isfinite(fp):
+            return None
+        step = f0 / fp
+        e = e - step
+        if abs(step) < 1e-13 * (1.0 + abs(e)):
+            break
+    if not cmath.isfinite(e):
+        return None
+    # residual tolerance scaled by the local derivative: the counting
+    # function ranges over many orders of magnitude across a window
+    f_final, fp = yield from _value_and_slope(e)
+    if abs(f_final) > 1e-10 * max(1.0, abs(fp) * (1.0 + abs(e))):
+        return None
+    return e
+
+
+def _cell_newton(cell: _Cell):
+    """Newton from each of _NEWTON_STARTS in turn, as a generator driven by
+    _newton_batch: the first root that lands in the cell (within 1e-9 of
+    its scale), or None. A start runs only when the one before it failed
+    or left the cell."""
+    re0, re1, im0, im1, _, scale = cell
+    tol = 1e-9 * scale
+    for fx, fy in _NEWTON_STARTS:
+        root = yield from _newton_lane(complex(re0 + fx * (re1 - re0), im0 + fy * (im1 - im0)))
+        if root is not None and (
+            re0 - tol <= root.real <= re1 + tol and im0 - tol <= root.imag <= im1 + tol
+        ):
+            return root
+    return None
+
+
+def _newton_batch(lanes: list, params: ModelParams) -> list:
+    """Run Newton generators (see _newton_lane) as lanes of one iteration:
+    each round evaluates G at every live lane's three points in one
+    counting_determinant call. Each lane's result is its return value, or
+    the exception it raised, stored so that the caller raises it in the
+    lane's turn. A lane's result does not depend on the lanes beside it."""
+    results: list = [None] * len(lanes)
+    pending = dict.fromkeys(range(len(lanes)))
+    while pending:
+        points = {}
+        for i, vals in pending.items():
+            try:
+                points[i] = lanes[i].send(vals)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                results[i] = exc
+        if not points:
+            break
+        g = counting_determinant(np.array([p for pts in points.values() for p in pts]), params).tolist()
+        pending = {i: g[3 * j:3 * j + 3] for j, i in enumerate(points)}
+    return results
+
+
+def _minimal(cell: _Cell) -> bool:
+    """Whether the cell has shrunk below 1e-6 of its scale on both sides."""
+    return cell.re1 - cell.re0 < 1e-6 * cell.scale and cell.im1 - cell.im0 < 1e-6 * cell.scale
+
+
+def _isolate(cell: _Cell, params: ModelParams, depth: int, out: list, split: bool = False) -> None:
+    """Append to out, depth first, (cell, depth) for every isolated cell in
+    the counted cell: winding 1, or minimal (see _minimal).
+
+    Any other cell with w > 0 (or, with split, the cell itself) is split
+    into four at the first fraction, in _SPLIT_FRACS order from the depth,
+    whose children's windings add up to w; all four children are counted
+    before any of them is split, and the four children of one split sum
+    each interior segment once; each child's segments not summed yet are
     sampled in one batch (see _edge_phase_sums). A split line through a
     zero pads the children over it, so both count it, and the sum exceeds
     w. So a split whose line is the real axis, where the real levels sit,
-    is skipped without counting when Re G changes sign along it.
+    is skipped without counting when Re G changes sign along it. On an
+    error, out holds the isolated cells that come before it.
     """
     re0, re1, im0, im1, w, scale = cell
     if w == 0:
-        return []
+        return
     if w < 0:
         raise SolverError(f"negative winding {w}: the counting function is not analytic here?")
-    small = (re1 - re0) < 1e-6 * scale and (im1 - im0) < 1e-6 * scale
-    if w == 1 or small:
-        for fx, fy in _NEWTON_STARTS:
-            e0 = complex(re0 + fx * (re1 - re0), im0 + fy * (im1 - im0))
-            root = _newton_complex(e0, params)
-            if root is not None and re0 - 1e-9 * scale <= root.real <= re1 + 1e-9 * scale and (
-                im0 - 1e-9 * scale <= root.imag <= im1 + 1e-9 * scale
-            ):
-                if w == 1:
-                    return [root]
-                return [root] * w  # degenerate cluster in a tiny cell
-        if small:
-            raise SolverError(
-                f"Newton failed in the minimal cell [{re0},{re1}]x[{im0},{im1}] with winding {w}"
-            )
+    if not split and (w == 1 or _minimal(cell)):
+        out.append((cell, depth))
+        return
     if depth > 60:
         raise SolverError("window subdivision exceeded maximal depth")
     tried = []
@@ -773,9 +814,47 @@ def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0) -> list[comple
         raise CountMismatchError(
             f"window [{re0},{re1}]x[{im0},{im1}]: winding {w}, but " + "; ".join(tried)
         )
-    roots: list[complex] = []
     for child in children:
-        roots.extend(_find_zeros(child, params, depth + 1))
+        _isolate(child, params, depth + 1, out)
+
+
+def _find_zeros(cell: _Cell, params: ModelParams, depth: int = 0, split: bool = False) -> list[complex]:
+    """Exactly cell.w zeros of G in the counted cell, in depth-first cell
+    order, or the error the first failing cell raises in that order.
+
+    _isolate hands back the isolated cells, and one _newton_batch polishes
+    them all. A cell's root counts w times: a minimal cell with w > 1 holds
+    a degenerate cluster. A minimal cell that no start solves raises; any
+    other is split as usual, and its children are solved in turn. If
+    counting raises, the cells isolated before it are solved first, since
+    one of them may fail first.
+    """
+    cells: list[tuple[_Cell, int]] = []
+    try:
+        _isolate(cell, params, depth, cells, split)
+    except Exception:
+        _polish(cells, params)
+        raise
+    return _polish(cells, params)
+
+
+def _polish(cells: list[tuple[_Cell, int]], params: ModelParams) -> list[complex]:
+    """The zeros of the isolated (cell, depth) pairs, in their order (see
+    _find_zeros)."""
+    roots: list[complex] = []
+    found = _newton_batch([_cell_newton(cell) for cell, _ in cells], params)
+    for (cell, depth), root in zip(cells, found):
+        if isinstance(root, Exception):
+            raise root
+        if root is not None:
+            roots += [root] * cell.w
+        elif _minimal(cell):
+            raise SolverError(
+                f"Newton failed in the minimal cell [{cell.re0},{cell.re1}]x[{cell.im0},{cell.im1}] "
+                f"with winding {cell.w}"
+            )
+        else:
+            roots += _find_zeros(cell, params, depth, split=True)
     return roots
 
 
@@ -796,7 +875,7 @@ def _require_symmetric(window: EnergyWindow) -> None:
 def complex_spectrum(params: ModelParams, window: EnergyWindow) -> SpectrumReport:
     """All eigenvalues inside the window by argument-principle counting of
     the entire counting determinant, subdivision until each cell isolates
-    one zero, and Newton refinement.
+    one zero, and one Newton refinement batched over all isolated cells.
 
     A cell is split only where the windings of its four children add up
     to its own, checked before any child is solved; if neither of the two
@@ -898,7 +977,8 @@ def critical_couplings(omega: float, n_pairs: int, tracking_e_max: float = 400.0
     1e-4, each count taken once. A drop of 2 is a merge, reported at the
     midpoint of the last bracket; a drop of 1 (a level drifting across the
     window edge) is a baseline shift and is skipped; any other drop raises
-    WindowError. Finding fewer than n_pairs below Z = 60 raises SolverError.
+    WindowError. Finding fewer than n_pairs below Z = 60 raises SolverError,
+    which names the top of the tracking window.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -913,7 +993,10 @@ def critical_couplings(omega: float, n_pairs: int, tracking_e_max: float = 400.0
         lo, hi = z, z + 0.25
         if hi > z_max:
             raise SolverError(
-                f"found only {len(criticals)} of {n_pairs} critical couplings below Z={z_max}"
+                f"found only {len(criticals)} of {n_pairs} critical couplings below Z={z_max}: "
+                f"no {'further ' if criticals else ''}level pair merges below "
+                f"E = {tracking_e_max:g}, the top of the tracking window: raise "
+                "tracking_e_max (--emax on the CLI)"
             )
         c_lo, c_hi = current, count_at(hi)
         if c_hi < c_lo:

@@ -117,6 +117,27 @@ def test_asymmetric_window_message_is_the_library_one():
     assert stderr.decode() == f"error: {err.value}\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["spectrum"], "--emax", "inf"),
+        (["spectrum"], "--smax", "-inf"),
+        (["curves", "--family", "oval"], "--sigma-max", "nan"),
+    ],
+)
+def test_non_finite_flag_message_names_the_flag(capsys, command, flag, value):
+    assert main([*command, f"{flag}={value}", "--Z", "1", "--omega", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: flag {flag} must be finite, got {float(value)}\n"
+
+
+def test_critical_below_every_merge_names_the_tracking_window(capsys):
+    assert main(["critical", "--omega", "0.1", "--emax", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: found only 0 of 1 critical couplings below Z=60.0: no level pair merges "
+        "below E = 1, the top of the tracking window: raise tracking_e_max (--emax on the CLI)\n"
+    )
+
+
 def test_exit_code_unknown_command():
     rc, _, _ = run_cli("frobnicate")
     assert rc == 2

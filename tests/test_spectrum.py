@@ -1,5 +1,6 @@
 """Real and complex spectra: four solvers, counts, critical couplings."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -117,6 +118,17 @@ def test_bracket_dispatches_hermitian_at_zero_coupling():
 def test_bracket_honors_energy_ceiling():
     states = real_spectrum_bracket(ModelParams(Z=2.0, omega=0.1), e_max=250.0)
     assert states and all(st.energy <= 250.0 for st in states)
+
+
+@pytest.mark.parametrize(
+    "energy, Z",
+    # the ground levels at (300, 1) and (60, 5), a shallow one, a deep one
+    [(-10.1168, 300.0), (-142.79, 60.0), (-1.0, 0.5), (-1e4, 2.0)],
+)
+def test_s_of_a_negative_energy_lies_on_the_hyperbola(energy, Z):
+    s = spectrum._s_of_energy(energy, Z)
+    t = Z / (2.0 * s)
+    assert t * t - s * s == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
 def test_lattice_matches_bracket():
@@ -497,6 +509,200 @@ def test_count_mismatch_names_the_skipped_split(monkeypatch):
     with pytest.raises(CountMismatchError) as err:
         complex_spectrum(ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 400.0, -40.0, 40.0))
     assert "split fraction 0.5 skipped: Re G changes sign on its line Im E = 0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the batched Newton over isolated cells
+
+
+def _newton_complex(e0, params):
+    """The per-cell Newton that _newton_batch replaced, kept as the
+    reference: three points per counting_determinant call, one start at a
+    time."""
+
+    def value_and_slope(e):
+        h = 1e-6 * (1.0 + abs(e))
+        g = spectrum.counting_determinant(np.array([e, e + h, e - h]), params)
+        return complex(g[0]), (complex(g[1]) - complex(g[2])) / (2.0 * h)
+
+    e = e0
+    for _ in range(80):
+        f0, fp = value_and_slope(e)
+        if fp == 0.0 or not cmath.isfinite(fp):
+            return None
+        step = f0 / fp
+        e = e - step
+        if abs(step) < 1e-13 * (1.0 + abs(e)):
+            break
+    if not cmath.isfinite(e):
+        return None
+    f_final, fp = value_and_slope(e)
+    if abs(f_final) > 1e-10 * max(1.0, abs(fp) * (1.0 + abs(e))):
+        return None
+    return e
+
+
+def _piecewise_g(pts, params):
+    """A stand-in for G with one kind of Newton lane per region: a cubic
+    with three simple zeros (lanes converge), a constant (fp == 0), a
+    quartic scaled to overflow (G and fp turn non-finite), exp(E) (no
+    convergence: the 80-step cap), and a value whose Newton step is too
+    large for abs() at integer Re E (the lane raises OverflowError)."""
+    e = np.asarray(pts, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (e - (1 + 1j)) * (e + 2.0) * (e - (3 - 0.5j))
+        out = np.where(e.real > 50.0, 1.0 + 0j, out)
+        out = np.where(e.real < -50.0, 1e300 * e**4, out)
+        out = np.where(e.imag > 100.0, np.exp(e - 100j), out)
+        return np.where(
+            e.imag < -100.0, np.where(e.real == np.round(e.real), 1.5e308 * (1 + 1j), e), out
+        )
+
+
+def _lane_outcome(value):
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    return None if value is None else (value.real.hex(), value.imag.hex())
+
+
+@pytest.mark.parametrize("fake", [False, True])
+def test_batched_newton_equals_the_per_cell_newton_lane_by_lane(monkeypatch, fake):
+    rng = np.random.default_rng(20)
+    if fake:
+        monkeypatch.setattr(spectrum, "counting_determinant", _piecewise_g)
+        params = ModelParams(Z=1.0, omega=0.1)
+        starts = np.concatenate([
+            rng.uniform(-8, 8, 40) + 1j * rng.uniform(-8, 8, 40),  # converge, or jump away
+            rng.uniform(60, 200, 10) + 1j * rng.uniform(-50, 50, 10),  # fp == 0
+            rng.uniform(-400, -60, 20) + 1j * rng.uniform(-50, 50, 20),  # overflow
+            rng.uniform(-10, 10, 10) + 1j * rng.uniform(110, 200, 10),  # 80-step cap
+            rng.integers(-10, 10, 10) + 1j * rng.uniform(-200, -110, 10),  # raises
+        ])
+    else:
+        params = ModelParams(Z=float(rng.uniform(0.5, 1.5)), omega=float(rng.uniform(-0.2, 0.2)))
+        starts = np.concatenate([
+            rng.uniform(0, 3500, 60) + 1j * rng.uniform(-200, 200, 60),
+            rng.uniform(-2e6, -1e6, 10) + 1j * rng.uniform(-40, 40, 10),  # G overflows
+        ])
+    starts = [complex(e) for e in rng.permutation(starts)]
+    want = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in starts:
+            try:
+                want.append(_lane_outcome(_newton_complex(e, params)))
+            except OverflowError as exc:
+                want.append(_lane_outcome(exc))
+        got = spectrum._newton_batch([spectrum._newton_lane(e) for e in starts], params)
+    assert [_lane_outcome(v) for v in got] == want
+    kinds = {type(v).__name__ for v in got}
+    assert {"complex", "NoneType"} <= kinds
+    if fake:
+        assert "OverflowError" in kinds
+        # the fp == 0 and overflow lanes
+        assert got.count(None) >= 20
+        # the exp(E) lanes stop at the 80-step cap, 80 steps to the left
+        assert sum(isinstance(v, complex) and v.imag > 100.0 and v.real < -60.0 for v in got) == 10
+
+
+def _refusing(predicate, refused):
+    """A _cell_newton stand-in that finds no root in the cells predicate
+    picks, and records them."""
+    cell_newton = spectrum._cell_newton
+
+    def cell_newton_unless(cell):
+        if predicate(cell):
+            refused.append(cell)
+            return None
+        return (yield from cell_newton(cell))
+
+    return cell_newton_unless
+
+
+def _same_roots(got, want):
+    assert got.diagnostics == want.diagnostics
+    assert _energies(got.real_levels) == pytest.approx(_energies(want.real_levels), rel=1e-12)
+    assert got.complex_pairs == pytest.approx(want.complex_pairs, rel=1e-12)
+
+
+def test_a_cell_no_newton_start_solves_is_split(monkeypatch):
+    params, window = ModelParams(Z=1.0, omega=0.1), EnergyWindow(*_WINDOW_C5)
+    want = complex_spectrum(params, window)
+    refused = []
+    wide = _refusing(lambda cell: cell.re1 - cell.re0 > 100.0, refused)
+    monkeypatch.setattr(spectrum, "_cell_newton", wide)
+    _same_roots(complex_spectrum(params, window), want)
+    assert refused and all(cell.w == 1 for cell in refused)
+
+
+def test_the_second_split_fraction_when_the_first_does_not_add_up(monkeypatch):
+    # without the real-axis skip, the first split runs along Im E = 0
+    # through the real levels, so both halves count them
+    params, window = ModelParams(Z=1.0, omega=0.1), EnergyWindow(0.0, 400.0, -40.0, 40.0)
+    want = complex_spectrum(params, window)
+    counted = []
+    counted_cell = spectrum._counted_cell
+
+    def recording(re0, re1, im0, im1, params, edges):
+        counted.append((re0, re1, im0, im1))
+        return counted_cell(re0, re1, im0, im1, params, edges)
+
+    monkeypatch.setattr(spectrum, "_real_axis_sign_change", lambda re0, re1, params: False)
+    monkeypatch.setattr(spectrum, "_counted_cell", recording)
+    _same_roots(complex_spectrum(params, window), want)
+    # the whole window, the four children at 0.5, then the four at 0.55
+    rm, im = 0.55 * 400.0, -40.0 + 0.55 * 80.0
+    assert counted[1:9] == [
+        (0.0, 200.0, -40.0, 0.0), (200.0, 400.0, -40.0, 0.0),
+        (0.0, 200.0, 0.0, 40.0), (200.0, 400.0, 0.0, 40.0),
+        (0.0, rm, -40.0, im), (rm, 400.0, -40.0, im), (0.0, rm, im, 40.0), (rm, 400.0, im, 40.0),
+    ]
+
+
+def _minimal_cell(monkeypatch, w):
+    """A minimal cell around the lowest pair at (1, 0.1), counted as w."""
+    root = 2289.984095011932 + 47.60968450917891j
+    monkeypatch.setattr(spectrum, "_winding_count", lambda *args: w)
+    rect = (root.real - 5e-4, root.real + 5e-4, root.imag - 5e-4, root.imag + 5e-4)
+    cell = spectrum._counted_cell(*rect, ModelParams(Z=1.0, omega=0.1), {})
+    assert spectrum._minimal(cell)
+    return cell, root
+
+
+def test_a_minimal_cell_holds_a_cluster_of_its_winding(monkeypatch):
+    cell, root = _minimal_cell(monkeypatch, 2)
+    roots = spectrum._find_zeros(cell, ModelParams(Z=1.0, omega=0.1))
+    assert roots == [roots[0]] * 2
+    assert roots[0] == pytest.approx(root, rel=1e-12)
+
+
+def test_a_minimal_cell_no_start_solves_raises(monkeypatch):
+    cell, _ = _minimal_cell(monkeypatch, 1)
+    monkeypatch.setattr(spectrum, "_cell_newton", _refusing(lambda c: True, []))
+    with pytest.raises(SolverError, match=r"Newton failed in the minimal cell .* with winding 1"):
+        spectrum._find_zeros(cell, ModelParams(Z=1.0, omega=0.1))
+
+
+def test_cells_isolated_before_a_counting_error_are_solved_first(monkeypatch):
+    """The error is the one the first failing cell in depth-first order
+    raises, as when each cell was solved in its turn."""
+    params, window = ModelParams(Z=1.0, omega=0.1), EnergyWindow(*_WINDOW_C5)
+    counted_cell = spectrum._counted_cell
+
+    def failing_right(re0, re1, im0, im1, params, edges):
+        # the grandchildren of the bottom-right quarter, counted after the
+        # bottom-left quarter's cells are isolated
+        if re0 >= 2800.0 and re1 - re0 < 500.0:
+            raise WindowError("counting failed")
+        return counted_cell(re0, re1, im0, im1, params, edges)
+
+    monkeypatch.setattr(spectrum, "_counted_cell", failing_right)
+    with pytest.raises(WindowError, match="counting failed"):
+        complex_spectrum(params, window)
+    # an earlier minimal cell that no start solves raises first
+    monkeypatch.setattr(spectrum, "_minimal", lambda cell: cell.w == 1)
+    monkeypatch.setattr(spectrum, "_cell_newton", _refusing(lambda c: True, []))
+    with pytest.raises(SolverError, match=r"Newton failed in the minimal cell \[2100\.0"):
+        complex_spectrum(params, window)
 
 
 @pytest.mark.parametrize(
