@@ -221,7 +221,7 @@ def _resolve(args: argparse.Namespace) -> None:
     --omega) and args.params, and parses args.window (complex) and args.xi
     (curves) in place. Raises ValueError or PTWellError on invalid input.
     """
-    for key in ("emax", "smax", "sigma_max"):
+    for key in ("emax", "sigma_max"):
         val = getattr(args, key, None)
         if val is not None and not math.isfinite(val):
             raise ValueError(f"flag --{key.replace('_', '-')} must be finite, got {val}")
@@ -229,9 +229,10 @@ def _resolve(args: argparse.Namespace) -> None:
     args.omega_values = _parse_float_list(args.omega)
     for name, values in (("Z", args.z_values), ("omega", args.omega_values)):
         if not values:
-            raise ValueError(f"flag {name} must hold at least one number")
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError(f"flag {name} must be finite, got {values}")
+            raise ValueError(f"flag --{name} must hold at least one number")
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"flag --{name} must be finite, got {v}")
     if args.command != "sweep" and (len(args.z_values) != 1 or len(args.omega_values) != 1):
         raise ValueError("comma lists for --Z/--omega are only valid with the sweep command")
     args.params = ModelParams(Z=args.z_values[0], omega=args.omega_values[0])
@@ -248,8 +249,10 @@ def _resolve(args: argparse.Namespace) -> None:
             raise ValueError(f"flag --points must be >= 2, got {args.points}")
         if args.stripe < 0:
             raise ValueError(f"flag --stripe must be >= 0, got {args.stripe}")
-    if args.command == "sweep" and args.jobs < 1:
-        raise ValueError(f"flag --jobs must be >= 1, got {args.jobs}")
+    for key in ("kmax", "n", "jobs"):
+        val = getattr(args, key, 1)
+        if val < 1:
+            raise ValueError(f"flag --{key} must be >= 1, got {val}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +378,12 @@ def _curves_csv(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommand execution
 
-def _spectrum_report(
-    params: ModelParams, method: str, e_max: float, s_max: float, k_max: int
-) -> SpectrumReport:
+def _spectrum_report(params: ModelParams, method: str, e_max: float, k_max: int) -> SpectrumReport:
     if method == "lattice":
         states = real_spectrum_lattice(params, k_max=k_max)
         states = [st for st in states if st.energy <= e_max]
     else:
-        states = real_spectrum_bracket(params, s_max=s_max, e_max=e_max)
+        states = real_spectrum_bracket(params, e_max=e_max)
     return SpectrumReport(
         params=params,
         real_levels=states,
@@ -399,7 +400,7 @@ def _sweep_task(task: tuple) -> dict:
 
 def _sweep_payload(args: argparse.Namespace) -> dict:
     tasks = [
-        (z, om, args.method, args.emax, args.smax, args.kmax)
+        (z, om, args.method, args.emax, args.kmax)
         for z in args.z_values
         for om in args.omega_values
     ]
@@ -424,7 +425,7 @@ def _sweep_csv(payload: dict) -> str:
 def _execute(args: argparse.Namespace) -> str:
     params = args.params
     if args.command == "spectrum":
-        report = _spectrum_report(params, args.method, args.emax, args.smax, args.kmax)
+        report = _spectrum_report(params, args.method, args.emax, args.kmax)
         return report_to_json(report) if args.format == "json" else _report_csv(report)
     if args.command == "count":
         n = count_real(params, args.emax)
@@ -472,9 +473,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--emax", type=float, default=2000.0, help="energy cap")
-    solver.add_argument("--smax", type=float, default=12.0, help="sweep range cap")
     solver.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
-    solver.add_argument("--kmax", type=int, default=8, help="stripe cap for the lattice method")
+    solver.add_argument("--kmax", type=int, default=8, help="stripe cap (>= 1) for the lattice method")
 
     parser = argparse.ArgumentParser(
         prog="ptwell",
@@ -493,7 +493,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
 
     p_crit = sub.add_parser("critical", parents=[common], help="critical couplings")
-    p_crit.add_argument("--n", type=int, default=1, help="number of pair mergers to locate")
+    p_crit.add_argument("--n", type=int, default=1, help="number of pair mergers to locate (>= 1)")
     p_crit.add_argument("--emax", type=float, default=400.0, help="tracking window cap")
 
     p_curves = sub.add_parser("curves", parents=[common], help="sampled curve data for plotting")

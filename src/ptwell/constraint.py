@@ -13,6 +13,12 @@ the matching loci: beyond it the two curves can no longer intersect, so
 the real spectrum is finite. It is found by comparing the exponentially
 shrinking envelope deviation against the power-law hyperbola deviation
 from their common diagonal.
+
+_s_ceiling bounds every real level: a level solves s*sinh(sigma) =
+-t*sin(tau), so with |sin(tau)| <= 1 it needs asinh(t/s) >= 2|s - t*omega|.
+On 2st = Z, q(s) = asinh(Z/(2s^2)) - 2s + Z*max(omega, 0)/s is at least
+that gap and falls strictly from +inf to -inf: no level has s above its
+root, nor E = Z^2/(4s^2) - s^2 below the energy there.
 """
 
 from __future__ import annotations
@@ -187,3 +193,16 @@ def sigma_star(params: ModelParams) -> float:
     b = a if zero[i] else float(grid[i + 1])
     star = _bisect_scalar(gap, a, b, gap(a), rtol=1e-12)
     return star if om > 0.0 else -star
+
+
+def _s_ceiling(Z: float, omega: float) -> float:
+    """The root of q (module docstring) in (0, hi], rounded up by the bisection
+    tolerance: q(0+) = +inf, and q(hi) < 0 as 2*hi > asinh(Z/2) + sqrt(Z*w)."""
+    w = max(omega, 0.0)
+
+    def q(s: float) -> float:
+        return math.asinh(Z / (2.0 * s * s)) - 2.0 * s + Z / s * w
+
+    hi = 1.0 + math.sqrt(Z) * math.sqrt(w) + 0.5 * math.asinh(0.5 * Z)
+    root = _bisect_scalar(q, 0.0, hi, math.inf, rtol=1e-12)
+    return root + 1e-12 * max(1.0, root)

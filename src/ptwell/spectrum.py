@@ -3,8 +3,8 @@
 Real levels come from three independent methods that must agree:
 
 * bracketing -- a 1-D adaptive sweep of the matching residual along the
-  constraint curve t = Z/(2s), with a signed dip probe that resolves
-  nearly merged pairs;
+  constraint curve t = Z/(2s) up to the ceiling constraint._s_ceiling
+  proves, with a signed dip probe that resolves nearly merged pairs;
 * the lattice tracer -- the geometric method: per stripe and lattice-line
   family, solve the frozen-oscillation curve equation for sigma on a xi
   grid refined in rounds where the solution count changes, trace the
@@ -14,7 +14,7 @@ Real levels come from three independent methods that must agree:
   bisected in one batch. _locus_points is the one locus sampler: `ptwell
   curves` draws the loci it returns;
 * the determinant scan -- the real zeros of the quantization determinant
-  along the real energy axis.
+  along the real energy axis, above the floor constraint._s_ceiling proves.
 
 Complex pairs come from argument-principle counting of the entire
 counting determinant over a window, with recursive subdivision on
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraint import sigma_star
+from .constraint import _s_ceiling, sigma_star
 from .errors import (
     CountMismatchError,
     NodeAtMatchingPointError,
@@ -54,6 +54,7 @@ from .errors import (
     WindowError,
 )
 from .matching import (
+    _kappas,
     _residual_real_st,
     _theta_of_sinh,
     _theta_pole,
@@ -180,21 +181,20 @@ def _s_of_energy(energy: float, Z: float) -> float:
     return abs(Z) / math.sqrt(2.0 * (math.hypot(energy, Z) + energy))
 
 
-def real_spectrum_bracket(
-    params: ModelParams, s_max: float = 12.0, e_max: float = 2000.0
-) -> list[BoundState]:
+def real_spectrum_bracket(params: ModelParams, e_max: float = 2000.0) -> list[BoundState]:
     """Real levels with E <= e_max by sweeping the matching residual along
-    the constraint curve t = Z/(2s) over s in [s(e_max), s_max].
+    the constraint curve t = Z/(2s), over s from s(e_max) up to
+    constraint._s_ceiling (at least 12), above which no level lies.
 
     An empty result is valid. Z = 0 dispatches to hermitian_spectrum.
     """
     if params.Z == 0.0:
         return hermitian_spectrum(params, e_max)
-    if s_max <= 0.0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
     Z, om = params.Z, params.omega
     s_lo = _s_of_energy(e_max, Z)
-    if s_lo >= s_max:
+    # floored at 12: where the ceiling is lower, the grid does not depend on it
+    s_hi = max(12.0, _s_ceiling(Z, om))
+    if s_lo >= s_hi:
         return []
     if s_lo * s_lo == 0.0:
         raise WindowError(
@@ -209,10 +209,10 @@ def real_spectrum_bracket(
         dsig_ds = abs(2.0 + om * Z / (s * s))
         return min(0.25, (math.pi / 4.0) / max(dtau_ds, 1e-9), 0.25 / max(dsig_ds, 1e-9))
 
-    grid = _march(s_lo, s_max, step)
+    grid = _march(s_lo, s_hi, step)
     log.info(
         "bracket sweep: %d grid points, s in [%.3g, %.3g], t in [%.3g, %.3g]",
-        len(grid), s_lo, s_max, Z / (2.0 * s_max), Z / (2.0 * s_lo),
+        len(grid), s_lo, s_hi, Z / (2.0 * s_hi), Z / (2.0 * s_lo),
     )
 
     def f(s):
@@ -493,11 +493,13 @@ def determinant_real_roots(
 
     The determinant is real on the real axis by conjugation symmetry; this
     is the third, independent check on the real spectrum. The default floor
-    sits just below the deepest attainable ground state at desk scale.
+    is the energy at constraint._s_ceiling, below which no level lies.
     """
-    if e_min is None:
-        e_min = -params.Z - 1.0
     Z, om = params.Z, params.omega
+    if e_min is None:
+        s_c = _s_ceiling(Z, om)
+        # capped at -Z - 1: where the bound is higher, the grid does not depend on it
+        e_min = min(-Z - 1.0, Z * Z / (4.0 * s_c * s_c) - s_c * s_c)
 
     def step(e):
         t_here = math.sqrt((math.hypot(e, Z) + e) / 2.0)
@@ -534,10 +536,8 @@ def _edge_samples(
     z0 = np.array([a for a, _ in segments], dtype=complex)
     dz = np.array([b for _, b in segments], dtype=complex) - z0
     probes = z0[:, None] + dz[:, None] * _PROBE_FRACS
-    Z = params.Z
     aw = math.hypot(1.0, params.omega)
-    kp = np.sqrt(-probes - 1j * Z)
-    km = np.sqrt(-probes + 1j * Z)
+    kp, km = _kappas(probes, params.Z)
     rate = 0.5 * aw * (1.0 / np.maximum(np.abs(kp), 0.3) + 1.0 / np.maximum(np.abs(km), 0.3))
     x = np.abs(probes - z0[:, None])
     total = (0.5 * (rate[:, :-1] + rate[:, 1:]) * (x[:, 1:] - x[:, :-1])).sum(axis=1)

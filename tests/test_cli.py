@@ -121,13 +121,45 @@ def test_asymmetric_window_message_is_the_library_one():
     "command, flag, value",
     [
         (["spectrum"], "--emax", "inf"),
-        (["spectrum"], "--smax", "-inf"),
+        (["count"], "--Z", "inf"),
         (["curves", "--family", "oval"], "--sigma-max", "nan"),
+        (["count"], "--omega", "nan"),
+        (["sweep"], "--Z", "-inf"),
     ],
 )
 def test_non_finite_flag_message_names_the_flag(capsys, command, flag, value):
-    assert main([*command, f"{flag}={value}", "--Z", "1", "--omega", "0.1"]) == 2
+    assert main([*command, "--Z", "1", "--omega", "0.1", f"{flag}={value}"]) == 2
     assert capsys.readouterr().err == f"error: flag {flag} must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        (["spectrum", "--method", "lattice"], "--kmax", "0", "must be >= 1, got 0"),
+        (["sweep"], "--kmax", "-2", "must be >= 1, got -2"),
+        (["critical"], "--n", "0", "must be >= 1, got 0"),
+        (["count"], "--Z", ",", "must hold at least one number"),
+        (["sweep"], "--omega", "", "must hold at least one number"),
+    ],
+)
+def test_usage_message_names_the_flag(capsys, command, flag, value, message):
+    assert main([*command, "--Z", "1", "--omega", "0.1", f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == ("", f"error: flag {flag} {message}\n")
+
+
+def test_count_finds_the_level_beyond_s_12(capsys):
+    assert main(["count", "--Z", "300", "--omega", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
+def test_smax_is_no_flag_and_no_config_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["spectrum", "--Z", "1", "--omega", "0.1", "--smax", "5"])
+    assert exit_.value.code == 2 and "--smax" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("smax = 5\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'smax'\n"
 
 
 def test_critical_below_every_merge_names_the_tracking_window(capsys):
@@ -398,10 +430,9 @@ def test_locus_commands_do_not_import_numpy_ma(argv):
     "argv, where",
     [
         (["count", "--Z", "1", "--omega", "0.1", "--emax", "1e300"], "[5e-151, 12.0]"),
-        (["spectrum", "--Z", "1", "--omega", "1e300"], "[0.011180339538113364, 12.0]"),
         (
-            ["spectrum", "--Z", "1", "--omega", "0.1", "--smax", "1e300"],
-            "[0.011180339538113364, 1e+300]",
+            ["spectrum", "--Z", "1", "--omega", "1e300"],
+            "[0.011180339538113364, 7.071067811871466e+149]",
         ),
     ],
 )
@@ -410,13 +441,9 @@ def test_unbounded_sweep_exits_3(monkeypatch, capsys, argv, where):
     monkeypatch.setattr("ptwell.roots._MAX_GRID_POINTS", 10_000)
     assert main(argv) == 3
     err = capsys.readouterr().err
-    # a wide --smax range runs into the point bound; the other two sweeps
-    # step by less than the float spacing at their first point
-    if "--smax" in argv:
-        assert f"error: sweep grid on {where} passed 10000 points at " in err
-    else:
-        lo = where[1:].partition(",")[0]
-        assert f"error: sweep grid on {where} stalled at {lo} after 1 points: " in err
+    # both sweeps step by less than the float spacing at their first point
+    lo = where[1:].partition(",")[0]
+    assert f"error: sweep grid on {where} stalled at {lo} after 1 points: " in err
 
 
 def test_vanishing_coupling_exits_3(capsys):

@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import properties as P
 from ptwell.constraint import (
+    _s_ceiling,
     hyperbola_asymptote,
     quadratic_residual,
     reflected_branch,
@@ -15,6 +17,7 @@ from ptwell.constraint import (
     xi_branch,
 )
 from ptwell.model import ModelParams, RotatedPoint, WaveVector, sigma_tau_from_st
+from ptwell.spectrum import real_spectrum_bracket
 
 
 def test_quadratic_residual_values():
@@ -112,6 +115,52 @@ def test_sigma_star_domain():
         sigma_star(ModelParams(Z=1.0, omega=0.0))
     with pytest.raises(ValueError):
         sigma_star(ModelParams(Z=0.0, omega=0.1))
+
+
+def _meets_level_condition(s, Z, omega):
+    """asinh(t/s) >= 2|s - t*omega| on 2st = Z: |sinh(sigma)| <= t/s, which
+    s*sinh(sigma) = -t*sin(tau) needs."""
+    return np.arcsinh(Z / (2.0 * s * s)) >= np.abs(2.0 * s - Z * omega / s)
+
+
+def _energy_at(s, Z):
+    return Z * Z / (4.0 * s * s) - s * s
+
+
+def test_no_level_lies_beyond_the_ceiling():
+    rng = random.Random(2001)
+    n_levels = 0
+    for _ in range(200):
+        Z = 10.0 ** rng.uniform(-2.0, math.log10(300.0))
+        om = rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(20.0))
+        s_c = _s_ceiling(Z, om)
+        for st in real_spectrum_bracket(ModelParams(Z=Z, omega=om), e_max=1e4):
+            assert st.wave.s <= s_c and st.energy >= _energy_at(s_c, Z), (Z, om, st.energy)
+            n_levels += 1
+    assert n_levels > 1000
+
+
+@pytest.mark.parametrize(
+    "Z, om",
+    [(Z, om) for Z in (0.01, 1.0, 60.0, 300.0) for om in (-20.0, -1e-3, 0.0, 1e-3, 1.0, 20.0)]
+    + [(0.01, 7.24), (60.0, 5.0), (2.0, 5.0), (20.0, 5.0), (2.0, 20.0)],
+)
+def test_level_condition_fails_above_the_ceiling(Z, om):
+    s_c = _s_ceiling(Z, om)
+    above = s_c * np.geomspace(1.0, 1e4, 400_001)[1:]
+    assert not _meets_level_condition(above, Z, om).any()
+
+
+def test_ceiling_is_the_outer_end_of_two_runs():
+    # at (0.01, 7.24) the s meeting the level condition form two separate
+    # runs; the ceiling closes the outer one
+    Z, om = 0.01, 7.24
+    s_c = _s_ceiling(Z, om)
+    s = s_c * np.geomspace(1e-3, 1.0, 400_001)
+    meets = _meets_level_condition(s, Z, om)
+    starts = np.nonzero(meets[1:] & ~meets[:-1])[0]
+    assert len(starts) == 2 and not meets[0]
+    assert s[np.nonzero(meets)[0][-1]] > s_c * (1.0 - 1e-4)
 
 
 def test_property_branch_membership():

@@ -51,6 +51,30 @@ def test_real_levels_pass_the_oracle(Z, om):
         _assert_roots(roots, params)
 
 
+# ground levels beyond s = 12 or below E = -Z - 1, where a fixed end of
+# the bracket sweep or of the determinant scan would lose them; at (2, 20)
+# tau is about 179.6, so the lattice tracer needs k_max >= 28 to reach it
+DEEP_LEVELS = [
+    (300.0, 1.0, -10.1168),
+    (60.0, 5.0, -142.792),
+    (2.0, 5.0, -5.02344),
+    (20.0, 5.0, -48.7142),
+    (2.0, 20.0, -20.0037),
+]
+
+
+@pytest.mark.parametrize("Z, om, E", DEEP_LEVELS)
+def test_deep_levels_agree_across_methods_and_pass_the_oracle(Z, om, E):
+    params = ModelParams(Z=Z, omega=om)
+    for roots in (
+        [st.energy for st in real_spectrum_bracket(params)],
+        [st.energy for st in real_spectrum_lattice(params, k_max=30)],
+        determinant_real_roots(params, e_max=2000.0),
+    ):
+        assert roots == [pytest.approx(E, rel=1e-5)]
+        _assert_roots(roots, params)
+
+
 def test_complex_spectrum_passes_the_oracle():
     """Criterion 5's window: the real levels (none lie this high) and both
     members of each pair."""

@@ -183,10 +183,6 @@ def test_march_raises_where_the_step_stalls():
     "solve, message",
     [
         (
-            lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 0.1), s_max=1e300),
-            "passed 10000 points",
-        ),
-        (
             lambda: spectrum.real_spectrum_bracket(ModelParams(1.0, 1e300)),
             "stalled at 0.011180339538113364 after 1 points",
         ),
@@ -200,7 +196,7 @@ def test_march_raises_where_the_step_stalls():
         ),
     ],
     # the ids pytest gives a list of bare lambdas, so each case keeps its name
-    ids=[f"<lambda>{i}" for i in range(4)],
+    ids=[f"<lambda>{i}" for i in range(1, 4)],
 )
 def test_unbounded_sweeps_are_window_errors(monkeypatch, solve, message):
     monkeypatch.setattr(roots, "_MAX_GRID_POINTS", 10_000)

@@ -104,11 +104,6 @@ def test_bracket_golden_levels():
     assert got == pytest.approx(GOLDEN_Z1_OM0, rel=1e-9)
 
 
-def test_bracket_s_range_does_not_clip_these_levels():
-    a = _energies(real_spectrum_bracket(ModelParams(Z=1.0, omega=0.0), s_max=5.0, e_max=400.0))
-    assert a == pytest.approx(GOLDEN_Z1_OM0, rel=1e-10)
-
-
 def test_bracket_dispatches_hermitian_at_zero_coupling():
     a = _energies(real_spectrum_bracket(ModelParams(Z=0.0, omega=0.3), e_max=100.0))
     b = _energies(hermitian_spectrum(ModelParams(Z=0.0, omega=0.3), e_max=100.0))
