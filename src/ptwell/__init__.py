@@ -37,8 +37,8 @@ _SUBMODULE = {
     ),
     **dict.fromkeys(
         ("ThetaCurveSpec", "amplitude_A", "counting_determinant", "envelope_asymptote",
-         "matching_determinant", "residual_real", "residual_rotated", "theta_asymptote",
-         "theta_curve", "wavefunction_eval"),
+         "matching_determinant", "residual_real", "residual_rotated", "state_kappas",
+         "theta_asymptote", "theta_curve", "wavefunction_eval"),
         "matching",
     ),
     **dict.fromkeys(

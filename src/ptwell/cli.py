@@ -42,6 +42,7 @@ from .spectrum import (
     critical_couplings,
     real_spectrum_bracket,
     real_spectrum_lattice,
+    _lattice_k_max,
     _locus_points,
     _require_symmetric,
 )
@@ -250,8 +251,8 @@ def _resolve(args: argparse.Namespace) -> None:
         if args.stripe < 0:
             raise ValueError(f"flag --stripe must be >= 0, got {args.stripe}")
     for key in ("kmax", "n", "jobs"):
-        val = getattr(args, key, 1)
-        if val < 1:
+        val = getattr(args, key, None)
+        if val is not None and val < 1:
             raise ValueError(f"flag --{key} must be >= 1, got {val}")
 
 
@@ -378,8 +379,12 @@ def _curves_csv(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommand execution
 
-def _spectrum_report(params: ModelParams, method: str, e_max: float, k_max: int) -> SpectrumReport:
+def _spectrum_report(
+    params: ModelParams, method: str, e_max: float, k_max: int | None
+) -> SpectrumReport:
     if method == "lattice":
+        if k_max is None:
+            k_max = _lattice_k_max(params, e_max)
         states = real_spectrum_lattice(params, k_max=k_max)
         states = [st for st in states if st.energy <= e_max]
     else:
@@ -474,7 +479,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--emax", type=float, default=2000.0, help="energy cap")
     solver.add_argument("--method", choices=("bracket", "lattice"), default="bracket")
-    solver.add_argument("--kmax", type=int, default=8, help="stripe cap (>= 1) for the lattice method")
+    solver.add_argument(
+        "--kmax", type=int, default=None,
+        help="stripe cap (>= 1) for the lattice method (default: the least that reaches --emax)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="ptwell",

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import SolverError
-from .matching import ThetaCurveSpec, _theta_of_sinh, theta_curve
+from .matching import ThetaCurveSpec, _theta, theta_curve
 from .model import ModelParams, RotatedPoint, omega_factor
 from .roots import _bisect_scalar, _sign_changes
 
@@ -137,21 +137,6 @@ def hyperbola_asymptote(sigma: float, params: ModelParams) -> float:
     return -sigma / aw - math.copysign(1.0, om) * x2 / ((aw + 1.0 / aw) * sigma)
 
 
-def _envelope_deviation(sigma: float, omega: float) -> float:
-    """|Theta_(+1,0)(sigma) - (-sigma/omega)| for omega > 0, sigma < 0.
-
-    Exponentially small as sigma -> -inf; the matched loci live inside a
-    tube of this half-width around the diagonal.
-    """
-    spec = ThetaCurveSpec(p=1, xi=0.0, omega=omega)
-    return abs(theta_curve(spec, sigma) + sigma / omega)
-
-
-def _hyperbola_deviation(sigma: float, params: ModelParams) -> float:
-    """|Xi(sigma) - (-sigma/omega)| for omega > 0; power-law in 1/sigma."""
-    return abs(xi_branch(sigma, params) + sigma / params.omega)
-
-
 def sigma_star(params: ModelParams) -> float:
     """Boundary of the intersection-free zone along the hyperbola.
 
@@ -166,20 +151,21 @@ def sigma_star(params: ModelParams) -> float:
         raise ValueError("sigma_star undefined at omega = 0 (real spectrum is infinite)")
     if params.Z <= 0.0:
         raise ValueError("sigma_star requires Z > 0")
-    work = ModelParams(Z=params.Z, omega=abs(om))
+    aw = abs(om)
+    x2 = _x_squared(params)
 
-    def gap(sigma: float) -> float:
-        return _envelope_deviation(sigma, work.omega) - 0.5 * _hyperbola_deviation(sigma, work)
+    def gap(sigma, theta):
+        """Envelope deviation |Theta_(+1,0)(sigma) + sigma/aw| less half the
+        hyperbola deviation |Xi(sigma) + sigma/aw|, with Theta = theta."""
+        return abs(theta + sigma / aw) - 0.5 * abs(_xi_of(sigma, aw, x2) + sigma / aw)
 
     lo, hi = -50.0, -2.0
     n = 2000
     grid = lo + (hi - lo) * np.arange(n + 1) / n
-    # gap on the whole grid at once; np.sinh may differ from the scalar
-    # gap's math.sinh in the last bit, which matters only if it flips a
-    # sign and so moves the bracket
-    aw = work.omega
-    theta = _theta_of_sinh(grid, np.sinh(grid), omega_factor(1, 0.0), aw)
-    vals = np.abs(theta + grid / aw) - 0.5 * np.abs(_xi_of(grid, aw, _x_squared(work)) + grid / aw)
+    # the grid in numpy, the bisection in math: np.sinh may differ from
+    # math.sinh in the last bit, which matters only if it flips a sign and
+    # so moves the bracket
+    vals = gap(grid, _theta(grid, omega_factor(1, 0.0), aw))
     # rightmost sign change: envelope deviation explodes toward sigma = 0-,
     # decays exponentially toward -inf
     pairs, zero = _sign_changes(vals)
@@ -191,7 +177,12 @@ def sigma_star(params: ModelParams) -> float:
     i = int(hits[-1])
     a = float(grid[i])
     b = a if zero[i] else float(grid[i + 1])
-    star = _bisect_scalar(gap, a, b, gap(a), rtol=1e-12)
+    spec = ThetaCurveSpec(p=1, xi=0.0, omega=aw)
+
+    def gap_at(sigma: float) -> float:
+        return gap(sigma, theta_curve(spec, sigma))
+
+    star = _bisect_scalar(gap_at, a, b, gap_at(a), rtol=1e-12)
     return star if om > 0.0 else -star
 
 

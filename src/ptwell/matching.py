@@ -80,7 +80,13 @@ class ThetaCurveSpec:
 def _residual_real_st(s, t, omega):
     """Vectorized core of residual_real on raw floats/arrays."""
     sigma, tau = _sigma_tau_from_st_raw(s, t, omega)
-    return s * np.sinh(sigma) + t * np.sin(tau)
+    return _residual_of(s, t, np.sinh(sigma), np.sin(tau))
+
+
+def _residual_of(s, t, sinh_sigma, sin_tau):
+    """The residual from sinh(sigma) and sin(tau), computed by the caller in
+    its number type (np.sinh and math.sinh differ in the last bit)."""
+    return s * sinh_sigma + t * sin_tau
 
 
 def residual_real(w: WaveVector, params: ModelParams) -> float:
@@ -124,19 +130,18 @@ def theta_curve(spec: ThetaCurveSpec, sigma: float) -> float:
         if abs(sigma - sigma_inf) < _ASYMPTOTE_TOL:
             raise AsymptoteError(f"sigma={sigma} sits on the asymptote at {sigma_inf}")
     try:
-        sinh_sigma = math.sinh(sigma)
+        return _theta(sigma, Om, om, math)
     except OverflowError:
         raise PTWellError(
             f"sinh overflows at sigma={sigma}: Theta curves need |sigma| below ~710 "
             f"(lower --sigma-max)"
         ) from None
-    return _theta_of_sinh(sigma, sinh_sigma, Om, om)
 
 
-def _theta_of_sinh(sigma, sinh_sigma, Om, om):
-    """Theta_(p,xi) from sigma and its sinh, supplied by the caller: the
-    scalar curve uses math.sinh, the vectorized lattice scan np.sinh, and
-    the two differ in the last bit."""
+def _theta(sigma, Om, om, xp=np):
+    """Theta of Omega = Om at omega = om, in the number module xp: numpy,
+    or math for a scalar caller (their sinh differ in the last bit)."""
+    sinh_sigma = xp.sinh(sigma)
     return sigma * (om + Om * sinh_sigma) / (1.0 - Om * om * sinh_sigma)
 
 

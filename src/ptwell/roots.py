@@ -122,9 +122,9 @@ def _golden_min(h, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _sweep_roots(f, grid: np.ndarray, dips: bool = True) -> list[float]:
+def _sweep_roots(f, grid: np.ndarray) -> list[float]:
     """All roots of f on the grid, sorted: sign changes between finite
-    neighbours are bisected. With dips, each sample whose |f| is below its
+    neighbours are bisected, and each sample whose |f| is below its
     neighbours' with the same sign (at an end: rising into the grid) has
     its cell golden-searched for a signed minimum below zero, a nearly
     merged pair whose two roots are then bisected."""
@@ -137,7 +137,7 @@ def _sweep_roots(f, grid: np.ndarray, dips: bool = True) -> list[float]:
     ]
     roots.extend(float(x) for x in grid[zero])
     n = len(grid)
-    if not dips or n < 2:
+    if n < 2:
         return sorted(roots)
     finite = np.isfinite(vals)
     sign = np.sign(vals)

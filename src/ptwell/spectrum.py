@@ -55,8 +55,9 @@ from .errors import (
 )
 from .matching import (
     _kappas,
+    _residual_of,
     _residual_real_st,
-    _theta_of_sinh,
+    _theta,
     _theta_pole,
     amplitude_A,
     counting_determinant,
@@ -309,7 +310,7 @@ def _solve_theta_lines(
             counts = keep.sum(axis=1)
             del grid, keep, near
             pt_line = np.repeat(line, counts)
-            vals = _theta_of_sinh(x, np.sinh(x), Om[pt_line], om)
+            vals = _theta(x, Om[pt_line], om)
             vals -= tau[pt_line]
             pairs, zero = _sign_changes(vals)
             pairs[np.cumsum(counts)[:-1] - 1] = False  # no bracket across segments
@@ -320,7 +321,7 @@ def _solve_theta_lines(
 
         def f(m, lanes):
             j = lane_line[lanes]
-            return _theta_of_sinh(m, np.sinh(m), Om[j], om) - tau[j]
+            return _theta(m, Om[j], om) - tau[j]
 
         roots = np.concatenate([_bisect_batch(f, a, b, fa), *(z for z, _ in zeros)])
     line = np.concatenate([lane_line, *(j for _, j in zeros)])
@@ -340,10 +341,11 @@ def _newton_2d(s: float, t: float, params: ModelParams) -> tuple[float, float] |
             sh, ch = math.sinh(sig), math.cosh(sig)
         except OverflowError:
             return None
-        res = s * sh + t * math.sin(tau)
+        sn, cs = math.sin(tau), math.cos(tau)
+        res = _residual_of(s, t, sh, sn)
         con = 2.0 * s * t - Z
-        j11 = sh + 2.0 * s * ch + 2.0 * om * t * math.cos(tau)
-        j12 = -2.0 * om * s * ch + math.sin(tau) + 2.0 * t * math.cos(tau)
+        j11 = sh + 2.0 * s * ch + 2.0 * om * t * cs
+        j12 = -2.0 * om * s * ch + sn + 2.0 * t * cs
         det = j11 * 2.0 * s - j12 * 2.0 * t
         if det == 0.0 or not math.isfinite(det):
             return None
@@ -448,6 +450,33 @@ def _trace_family(locus: dict[float, np.ndarray], seeds: list[tuple[float, float
                 seeds.append((0.5 * (s + s0), 0.5 * (t + t0)))
 
 
+# A stripe cap past this is taken to reach too far to trace, as
+# roots._MAX_GRID_POINTS bounds the sweeps: at k_max 200 a solve takes
+# 1.3 s and 50 MB, and both grow about linearly in k_max.
+_MAX_STRIPES = 1000
+
+
+def _lattice_k_max(params: ModelParams, e_max: float) -> int:
+    """The least stripe cap (at least 1) whose reach tau <= (2k + 2)*pi
+    takes in every level with E <= e_max: such a level has t <= t(e_max)
+    and s below constraint._s_ceiling, so tau = 2(s*omega + t) is at most
+    2(t(e_max) + s_c*max(omega, 0)).
+
+    Raises WindowError when that cap would pass _MAX_STRIPES."""
+    Z, om = params.Z, params.omega
+    s = _s_of_energy(e_max, Z)
+    # s is 0 where Z is, or where it underflows; t^2 = E there
+    t_max = Z / (2.0 * s) if s > 0.0 else math.sqrt(max(e_max, 0.0))
+    reach = (t_max + _s_ceiling(Z, om) * max(om, 0.0)) / math.pi  # tau_max / 2pi
+    if not reach <= _MAX_STRIPES + 1:
+        raise WindowError(
+            f"levels up to e_max={e_max} at omega={om} reach tau = {2.0 * math.pi * reach:.6g}, "
+            f"past the {_MAX_STRIPES} stripes the lattice tracer takes "
+            "(lower --emax or --omega)"
+        )
+    return max(1, math.ceil(reach) - 1)
+
+
 def real_spectrum_lattice(params: ModelParams, k_max: int) -> list[BoundState]:
     """Real levels by the geometric method: trace the matching loci per
     stripe k <= k_max on a xi refinement grid, intersect them with the
@@ -458,6 +487,8 @@ def real_spectrum_lattice(params: ModelParams, k_max: int) -> list[BoundState]:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > _MAX_STRIPES:
+        raise WindowError(f"k_max={k_max} passes the {_MAX_STRIPES} stripes the lattice tracer takes")
     if params.Z == 0.0:
         return hermitian_spectrum(params, e_max=((k_max + 1) * math.pi) ** 2)
     families = [(k, p, q) for k in range(0, k_max + 1) for p in (1, -1) for q in (1, -1)]

@@ -10,7 +10,12 @@ from ptwell import cli
 from ptwell.cli import main, report_from_json, report_to_json
 from ptwell.errors import WindowError
 from ptwell.model import LatticeIndex, ModelParams, lattice_compose
-from ptwell.spectrum import EnergyWindow, complex_spectrum, real_spectrum_bracket
+from ptwell.spectrum import (
+    EnergyWindow,
+    _lattice_k_max,
+    complex_spectrum,
+    real_spectrum_bracket,
+)
 
 
 def run_cli(*args):
@@ -145,6 +150,19 @@ def test_non_finite_flag_message_names_the_flag(capsys, command, flag, value):
 def test_usage_message_names_the_flag(capsys, command, flag, value, message):
     assert main([*command, "--Z", "1", "--omega", "0.1", f"{flag}={value}"]) == 2
     assert capsys.readouterr() == ("", f"error: flag {flag} {message}\n")
+
+
+def test_lattice_default_kmax_reaches_emax(capsys):
+    """Without --kmax the lattice method takes the least stripe cap that
+    reaches --emax: at (2, 20) the one level has tau = 179.6, beyond the
+    (2*8 + 2)*pi a fixed cap of 8 reaches."""
+    argv = ["spectrum", "--Z", "2", "--omega", "20", "--format", "csv"]
+    assert _lattice_k_max(ModelParams(Z=2.0, omega=20.0), 2000.0) == 42
+    assert main([*argv, "--method", "lattice"]) == 0
+    lattice = capsys.readouterr().out
+    assert main(argv) == 0
+    assert lattice == capsys.readouterr().out
+    assert lattice.splitlines()[1].split(",")[4] == "-20.0037421434"
 
 
 def test_count_finds_the_level_beyond_s_12(capsys):
@@ -444,6 +462,34 @@ def test_unbounded_sweep_exits_3(monkeypatch, capsys, argv, where):
     # both sweeps step by less than the float spacing at their first point
     lo = where[1:].partition(",")[0]
     assert f"error: sweep grid on {where} stalled at {lo} after 1 points: " in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--emax", "1e300"],
+            "error: levels up to e_max=1e+300 at omega=0.1 reach tau = 2e+150, "
+            "past the 1000 stripes the lattice tracer takes (lower --emax or --omega)\n",
+        ),
+        (
+            ["--omega", "1e300"],
+            "error: levels up to e_max=2000.0 at omega=1e+300 reach tau = inf, "
+            "past the 1000 stripes the lattice tracer takes (lower --emax or --omega)\n",
+        ),
+        (
+            ["--Z", "1e-200", "--emax", "1e300"],  # s(e_max) underflows to 0
+            "error: levels up to e_max=1e+300 at omega=0.1 reach tau = 2e+150, "
+            "past the 1000 stripes the lattice tracer takes (lower --emax or --omega)\n",
+        ),
+        (["--kmax", "1001"], "error: k_max=1001 passes the 1000 stripes the lattice tracer takes\n"),
+    ],
+)
+def test_unbounded_lattice_exits_3(capsys, flags, message):
+    """The derived stripe cap fails fast where it would pass the bound, as
+    an explicit one does; nothing is traced."""
+    assert main(["spectrum", "--Z", "1", "--omega", "0.1", "--method", "lattice", *flags]) == 3
+    assert capsys.readouterr() == ("", message)
 
 
 def test_vanishing_coupling_exits_3(capsys):

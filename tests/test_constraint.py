@@ -16,6 +16,7 @@ from ptwell.constraint import (
     upsilon_branch,
     xi_branch,
 )
+from ptwell.matching import ThetaCurveSpec, theta_curve
 from ptwell.model import ModelParams, RotatedPoint, WaveVector, sigma_tau_from_st
 from ptwell.spectrum import real_spectrum_bracket
 
@@ -101,13 +102,14 @@ def test_sigma_star_value():
 
 
 def test_sigma_star_separates_the_deviations():
-    from ptwell.constraint import _envelope_deviation, _hyperbola_deviation
-
     params = ModelParams(Z=1.0, omega=0.1)
+    envelope = ThetaCurveSpec(p=1, xi=0.0, omega=0.1)
     star = sigma_star(params)
     for off in (0.5, 1.0, 5.0, 20.0):
         sig = star - off
-        assert _envelope_deviation(sig, 0.1) < 0.5 * _hyperbola_deviation(sig, params)
+        envelope_dev = abs(theta_curve(envelope, sig) + sig / 0.1)
+        hyperbola_dev = abs(xi_branch(sig, params) + sig / 0.1)
+        assert envelope_dev < 0.5 * hyperbola_dev
 
 
 def test_sigma_star_domain():

@@ -85,6 +85,24 @@ def test_import_ptwell_is_lazy():
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
+def test_lazy_map_holds_every_public_name():
+    """ptwell._SUBMODULE maps exactly the public names of the library
+    modules to the module that defines them; errors has no __all__, so
+    its public names are its exception classes."""
+    import ptwell
+    from ptwell import constraint, errors, matching, model, spectrum
+
+    want = {name: mod.__name__.rsplit(".", 1)[1]
+            for mod in (constraint, matching, model, spectrum) for name in mod.__all__}
+    want.update(
+        (name, "errors") for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+    )
+    assert ptwell._SUBMODULE == want
+    assert ptwell.state_kappas is matching.state_kappas
+
+
 def test_cli_entry_runs_one_blas_thread(tmp_path):
     rc, tasks, value, _, out = _run_entry(tmp_path, "count", "--Z=0", "--omega=0", "--emax=10")
     assert (rc, value) == (0, "1")

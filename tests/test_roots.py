@@ -9,7 +9,7 @@ import pytest
 
 from ptwell import roots, spectrum
 from ptwell.errors import WindowError
-from ptwell.matching import _theta_of_sinh
+from ptwell.matching import _theta
 from ptwell.model import BoundState, ModelParams, WaveVector
 from ptwell.roots import _bisect_batch, _bisect_scalar, _march, _sign_changes
 
@@ -25,7 +25,7 @@ def _theta_brackets(seed: int, n_lines: int = 60):
         t = float(rng.uniform(0.5, 60.0))
         O = float(rng.choice([1.0, -1.0]) / np.cos(np.pi * rng.uniform(0.0, 0.999) / 2.0))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = _theta_of_sinh(grid, np.sinh(grid), O, om) - t
+            v = _theta(grid, O, om) - t
         ok = np.isfinite(v[:-1]) & np.isfinite(v[1:]) & (np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
         for i in np.nonzero(ok)[0]:
             a.append(float(grid[i]))
@@ -43,10 +43,10 @@ def test_bisect_batch_equals_bisect_scalar_bitwise(seed, rtol):
     assert len(a) > 20
 
     def f_batch(x, lanes):
-        return _theta_of_sinh(x, np.sinh(x), Om[lanes], om) - tau[lanes]
+        return _theta(x, Om[lanes], om) - tau[lanes]
 
     def f_scalar(j):
-        return lambda x: _theta_of_sinh(x, np.sinh(x), float(Om[j]), om) - float(tau[j])
+        return lambda x: _theta(x, float(Om[j]), om) - float(tau[j])
 
     # a bracket may straddle the curve's pole, where both bisections divide by zero alike
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -110,7 +110,7 @@ def _old_dedup_states(states):
 def test_sweep_grids_equal_the_old_loops_bitwise(monkeypatch):
     grids = []
 
-    def recording(f, grid, dips=True):
+    def recording(f, grid):
         grids.append(grid)
         return []
 

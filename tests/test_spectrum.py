@@ -20,8 +20,8 @@ from ptwell.model import (
     st_from_sigma_tau,
 )
 from ptwell.constraint import sigma_star, xi_branch
-from ptwell.matching import _theta_of_sinh, residual_real
-from ptwell.roots import _sweep_roots
+from ptwell.matching import _theta, residual_real
+from ptwell.roots import _bisect_scalar, _sign_changes
 from ptwell.spectrum import (
     EnergyWindow,
     _newton_2d,
@@ -115,6 +115,11 @@ def test_bracket_honors_energy_ceiling():
     assert states and all(st.energy <= 250.0 for st in states)
 
 
+def test_bracket_is_empty_below_the_sweep_range():
+    # s(e_max) lies above the ceiling: the sweep has no range at all
+    assert real_spectrum_bracket(ModelParams(Z=1.0, omega=0.1), e_max=-200.0) == []
+
+
 @pytest.mark.parametrize(
     "energy, Z",
     # the ground levels at (300, 1) and (60, 5), a shallow one, a deep one
@@ -133,6 +138,12 @@ def test_lattice_matches_bracket():
         latt = [e for e in _energies(real_spectrum_lattice(params, k_max=16)) if e <= 2000.0]
         assert len(latt) == len(brack)
         assert latt == pytest.approx(brack, rel=1e-8)
+
+
+def test_lattice_dispatches_hermitian_at_zero_coupling():
+    # k_max = 2 reaches tau = 6*pi, so E up to (3*pi)^2: six levels (n+1)^2*pi^2/4
+    got = _energies(real_spectrum_lattice(ModelParams(Z=0.0, omega=0.3), k_max=2))
+    assert got == pytest.approx([(n + 1) ** 2 * PI**2 / 4.0 for n in range(6)], rel=1e-12)
 
 
 def test_lattice_rejects_empty_stripe_range():
@@ -921,7 +932,7 @@ def _one_line_reference(tau_line, Om, om, sig_cap):
             pts, clusters = [-sig_cap, pole, sig_cap], np.concatenate([clusters, pole + clusters])
 
     def f(x):
-        return _theta_of_sinh(x, np.sinh(x), Om, om) - tau_line
+        return _theta(x, Om, om) - tau_line
 
     roots = []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -929,7 +940,14 @@ def _one_line_reference(tau_line, Om, om, sig_cap):
         lo, hi = a + eps, b - eps
         if hi > lo:
             inside = clusters[(clusters > lo) & (clusters < hi)]
-            roots += _sweep_roots(f, np.unique(np.concatenate([np.linspace(lo, hi, 240), inside])), dips=False)
+            grid = np.unique(np.concatenate([np.linspace(lo, hi, 240), inside]))
+            vals = f(grid)
+            pairs, zero = _sign_changes(vals)
+            roots += [
+                _bisect_scalar(f, float(grid[i]), float(grid[i + 1]), float(vals[i]))
+                for i in np.nonzero(pairs)[0]
+            ]
+            roots += grid[zero].tolist()
     return sorted(roots)
 
 
